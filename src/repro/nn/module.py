@@ -40,25 +40,39 @@ class Module:
 
     # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
-        """Yield ``(name, parameter)`` pairs for this module and children."""
+        """Yield ``(name, parameter)`` pairs for this module and children.
+
+        A parameter reachable by several paths (a table shared by many
+        submodules) is yielded once, under the first name that reaches it,
+        as ``torch.nn.Module`` does: optimisers then keep one state per
+        tensor and ``state_dict`` stores it once.
+        """
+        seen = set()
+        for name, param in self._walk_parameters(prefix):
+            if id(param) not in seen:
+                seen.add(id(param))
+                yield name, param
+
+    def _walk_parameters(self, prefix: str) -> Iterator[Tuple[str, Parameter]]:
+        """Every ``(name, parameter)`` path, shared parameters repeated."""
         for attr, value in vars(self).items():
             name = f"{prefix}{attr}"
             if isinstance(value, Parameter):
                 yield name, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(prefix=f"{name}.")
+                yield from value._walk_parameters(f"{name}.")
             elif isinstance(value, (list, tuple)):
                 for idx, item in enumerate(value):
                     if isinstance(item, Parameter):
                         yield f"{name}.{idx}", item
                     elif isinstance(item, Module):
-                        yield from item.named_parameters(prefix=f"{name}.{idx}.")
+                        yield from item._walk_parameters(f"{name}.{idx}.")
             elif isinstance(value, dict):
                 for key, item in value.items():
                     if isinstance(item, Parameter):
                         yield f"{name}.{key}", item
                     elif isinstance(item, Module):
-                        yield from item.named_parameters(prefix=f"{name}.{key}.")
+                        yield from item._walk_parameters(f"{name}.{key}.")
 
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]

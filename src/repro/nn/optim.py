@@ -26,7 +26,11 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
+    """Stochastic gradient descent with optional momentum and weight decay.
+
+    Row-sparse gradients are read densely (``param.grad``), so every row
+    decays and carries momentum exactly as with a dense gradient.
+    """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
                  momentum: float = 0.0, weight_decay: float = 0.0):
@@ -53,7 +57,16 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) — the optimiser the paper trains with."""
+    """Adam (Kingma & Ba, 2015) — the optimiser the paper trains with.
+
+    Updates are row-wise: a parameter whose gradient is row-sparse (an
+    ``embedding_lookup`` table) has m, v and its values updated on the
+    touched rows only, with bias correction from the global step count,
+    as ``torch.optim.SparseAdam`` does.  Untouched rows keep their stale
+    moments, and weight decay reaches touched rows only.  A dense gradient
+    is the all-rows case of the same formula, so it matches textbook Adam
+    bit for bit.
+    """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
@@ -73,15 +86,19 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
         for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
+            rows, grad = param.grad_rows()
+            if rows is None:
                 continue
-            grad = param.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                grad = grad + self.weight_decay * param.data[rows]
+            # Index-array rows are copies and are written back; slice(None)
+            # rows are views, whose write-back numpy skips as a self-copy.
+            m_rows, v_rows = m[rows], v[rows]
+            m_rows *= self.beta1
+            m_rows += (1.0 - self.beta1) * grad
+            v_rows *= self.beta2
+            v_rows += (1.0 - self.beta2) * grad**2
+            m[rows], v[rows] = m_rows, v_rows
+            m_hat = m_rows / bias1
+            v_hat = v_rows / bias2
+            param.subtract_rows(rows, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))

@@ -10,8 +10,13 @@ Only the operations needed by the models in this repository are implemented,
 but each is fully general (broadcasting, batched matmul, arbitrary axes) and
 covered by numeric gradient checks in the test suite.
 
+Gradients that arrive through :func:`embedding_lookup` are kept on the
+weight in row form (:meth:`Tensor.grad_rows`); :attr:`Tensor.grad`
+materialises the dense array on read.
+
 Every tensor also carries an integer :attr:`Tensor.version` bumped by the
-sanctioned write path (assignment to ``tensor.data``).  When the opt-in
+sanctioned write paths (assignment to ``tensor.data`` and the optimisers'
+:meth:`Tensor.subtract_rows`).  When the opt-in
 sanitizer is active (:mod:`repro.nn.sanitizer`), each op additionally
 records the versions of the tensors it saves for backward, and
 :meth:`Tensor.backward` raises :class:`~repro.errors.SanitizerError` naming
@@ -32,6 +37,20 @@ from repro.nn.sanitizer import STATE as _SANITIZER
 from repro.nn.tracing import STATE as _TRACING
 
 ArrayLike = Union[float, int, Sequence, np.ndarray, "Tensor"]
+
+
+def _sum_rows(indices: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ``indices`` and the sum of ``values`` rows per index.
+
+    Equivalent to ``np.add.at`` into a zeroed ``(unique, ...)`` buffer, and
+    bit-identical to it: ``np.bincount`` also adds its weights one by one
+    in input order, starting from zero, but runs several times faster.
+    """
+    rows, inverse = np.unique(indices, return_inverse=True)
+    width = int(np.prod(values.shape[1:], dtype=np.int64))
+    slots = (inverse[:, None] * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(slots, weights=values.reshape(-1), minlength=len(rows) * width)
+    return rows, sums.reshape((len(rows),) + values.shape[1:])
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -62,7 +81,8 @@ class Tensor:
 
     __slots__ = (
         "_data",
-        "grad",
+        "_grad",
+        "_grad_rows",
         "requires_grad",
         "_backward",
         "_parents",
@@ -77,7 +97,8 @@ class Tensor:
             data = data._data
         self._data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.requires_grad: bool = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self._grad: Optional[np.ndarray] = None
+        self._grad_rows: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
@@ -113,6 +134,67 @@ class Tensor:
     def op(self) -> Optional[str]:
         """Name of the autograd op that created this tensor, if any."""
         return self._op
+
+    def subtract_rows(self, rows, values: np.ndarray) -> None:
+        """``data[rows] -= values`` in place, through the version counter.
+
+        ``rows`` is a sorted unique index array or ``slice(None)``; this is
+        the write path of the row-wise optimisers.
+        """
+        self._data[rows] -= values
+        self._version += 1
+
+    # ------------------------------------------------------------------
+    # Gradient storage: dense, or row-sparse chunks from embedding_lookup
+    # ------------------------------------------------------------------
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        """The dense gradient, or None before any backward reached it.
+
+        Row-sparse gradients (see :meth:`grad_rows`) are materialised into
+        a fresh dense array on every read; reading never changes the stored
+        form, so it never changes what an optimiser does.
+        """
+        chunks = self._grad_rows
+        if chunks is None:
+            return self._grad
+        dense = np.zeros_like(self._data)
+        for rows, values in chunks:
+            dense[rows] += values
+        return dense
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._grad = value
+        self._grad_rows = None
+
+    def grad_rows(self):
+        """The gradient as ``(rows, values)``, or ``(None, None)`` if absent.
+
+        A row-sparse gradient yields the sorted unique touched rows and one
+        summed value row each; a dense gradient yields ``slice(None)`` and
+        the whole array, so ``data[rows]`` addresses the same rows either
+        way.  Chunks are summed per row in arrival order, the association
+        the dense read uses, so both forms hold bit-identical values.
+        """
+        chunks = self._grad_rows
+        if chunks is None:
+            return (None, None) if self._grad is None else (slice(None), self._grad)
+        if len(chunks) > 1:
+            chunks[:] = [_sum_rows(np.concatenate([chunk[0] for chunk in chunks]),
+                                   np.concatenate([chunk[1] for chunk in chunks]))]
+        return chunks[0]
+
+    def _accumulate_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add ``values`` into the unique ``rows``, keeping the sparse form."""
+        if not self.requires_grad:
+            return
+        if self._grad is not None:
+            self._grad[rows] += values
+        elif self._grad_rows is None:
+            self._grad_rows = [(rows, values)]
+        else:
+            self._grad_rows.append((rows, values))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -183,9 +265,13 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self._data)
-        self.grad += grad
+        if self._grad_rows is not None:
+            # A dense contribution makes the whole gradient dense; fold the
+            # pending rows first so each row keeps its arrival-order sum.
+            self._grad, self._grad_rows = self.grad, None
+        elif self._grad is None:
+            self._grad = np.zeros_like(self._data)
+        self._grad += grad
 
     def _check_saved_versions(self) -> None:
         """Raise if a tensor saved by this op's forward was since mutated."""
@@ -253,11 +339,14 @@ class Tensor:
                 f"gradient (shape {grad.shape})"
             )
         for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+            if node._backward is None:
+                continue
+            node_grad = node.grad
+            if node_grad is None:
                 continue
             if node._saved_versions is not None:
                 node._check_saved_versions()
-            node._backward(node.grad)
+            node._backward(node_grad)
             if anomaly:
                 for index, parent in enumerate(node._parents):
                     if parent.grad is None or np.isfinite(parent.grad).all():
@@ -596,8 +685,10 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Differentiable row gather: ``weight[indices]``.
 
     ``indices`` may have any shape; the result has shape
-    ``indices.shape + (embedding_dim,)``.  The gradient is scatter-added back
-    into the rows of ``weight``, matching ``torch.nn.Embedding``.
+    ``indices.shape + (embedding_dim,)``.  The gradient is summed per row
+    into a compact ``(unique rows, embedding_dim)`` buffer and kept on
+    ``weight`` in row form (``torch.nn.Embedding(sparse=True)``), so a
+    lookup's backward costs O(len(indices)), not O(num_embeddings).
     """
     indices = np.asarray(indices)
     if not np.issubdtype(indices.dtype, np.integer):
@@ -605,9 +696,11 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     out_data = weight.data[indices]
 
     def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(weight.data)
-        np.add.at(full, indices.reshape(-1), grad.reshape(-1, weight.data.shape[-1]))
-        weight._accumulate(full)
+        table = weight.data
+        flat = indices.reshape(-1)
+        if flat.size and flat.min() < 0:
+            flat = flat % len(table)
+        weight._accumulate_rows(*_sum_rows(flat, grad.reshape((-1,) + table.shape[1:])))
 
     return Tensor._make(
         out_data,

@@ -443,7 +443,8 @@ _DUNDER_OPS = {
 }
 
 #: Tensor methods that do not produce differentiable outputs.
-_NON_DIFF_METHODS = {"numpy", "item", "detach", "zero_grad", "backward"}
+_NON_DIFF_METHODS = {"numpy", "item", "detach", "zero_grad", "backward",
+                     "grad_rows", "subtract_rows"}
 
 #: ``repro.nn.__all__`` entries that are not differentiable-op targets.
 _NON_DIFF_EXPORTS = {
