@@ -4,12 +4,15 @@
 HybridGNN paper's ablations show would silently erase model capacity if
 shipped:
 
-* the first relationship's embedding is ``detach()``-ed before fusion, so
-  that relationship's flows and metapath-level attention receive no
+* the stacked relationship-local embeddings (the metapath-level stage's
+  ``(|R|, B, edge_dim)`` output) are ``detach()``-ed before relationship-
+  level fusion.  The flows and the metapath-level attention hold one
+  stacked parameter per unit for all relationships, so cutting that
+  stack leaves every flow stack and the stacked attention without a
   gradient (C005 unreachable parameters + C006 dead subgraph) — exactly
   the "attention head that never trains" failure mode;
 * a ``batch_gain`` parameter of shape ``(1, edge_dim)`` is multiplied
-  into every relationship embedding, stretching a size-1 axis across the
+  into the relationship embeddings, stretching a size-1 axis across the
   symbolic batch dim (C003 suspicious broadcast);
 * an ``orphan_bias`` parameter is registered but never used (C005).
 
@@ -87,18 +90,16 @@ def _make_miswired_class():
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.detached_relation = self.relations[0]
             self.batch_gain = Parameter(np.ones((1, self.config.edge_dim)))
             self.orphan_bias = Parameter(np.zeros(self.config.edge_dim))
 
-        def relation_embedding(self, nodes, relation, exploration=None):
-            embedding = super().relation_embedding(nodes, relation, exploration)
-            # Defect: (B, d) * (1, d) stretches axis 0 across the batch.
-            embedding = embedding * self.batch_gain
-            if relation == self.detached_relation:
-                # Defect: this relationship's gradient path is severed.
-                embedding = embedding.detach()
-            return embedding
+        def local_embeddings(self, nodes, wanted=None):
+            # Defect: the flows' and metapath attention's gradient path is
+            # severed for every relationship at once.
+            local = super().local_embeddings(nodes, wanted).detach()
+            # Defect: (|R|, B, d) * (1, d) stretches a size-1 axis across
+            # the batch.
+            return local * self.batch_gain
 
     return MiswiredHybridGNN
 

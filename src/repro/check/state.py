@@ -112,6 +112,10 @@ def verify_state_dict(module, state: Mapping[str, Any], source: str = "checkpoin
     """Raise :class:`CheckError` when ``state`` does not fit ``module``."""
     findings = state_dict_findings(module, state)
     if findings:
+        # Name what the file holds that the model does not know first: a
+        # checkpoint of an older parameter layout is recognised by its keys.
+        unexpected = set(state) - {name for name, _ in module.named_parameters()}
+        findings.sort(key=lambda f: f.param not in unexpected)
         details = "; ".join(f.message for f in findings[:5])
         more = len(findings) - 5
         if more > 0:

@@ -214,12 +214,13 @@ def _sparse_matmul(ctx: OpContext) -> TensorSpec:
 @transfer_rule("embedding_lookup")
 def _embedding_lookup(ctx: OpContext) -> TensorSpec:
     (weight,) = ctx.inputs
-    if weight.shape.rank != 2:
+    if weight.shape.rank < 2:
         raise SpecError(
-            f"embedding_lookup weight must be 2-D, got {weight.shape.render()}"
+            f"embedding_lookup weight must be at least 2-D, got {weight.shape.render()}"
         )
+    # Rows of a 2-D table, or slices of a stacked (S, d_in, d_out) weight.
     indices = ctx.resymbolize(ctx.attrs["indices_shape"])
-    return TensorSpec(ShapeSpec(indices.dims + (weight.shape.dims[1],)), weight.dtype)
+    return TensorSpec(ShapeSpec(indices.dims + weight.shape.dims[1:]), weight.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -16,54 +16,65 @@ of the self vector and a learnable reduction of the neighbor set.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.nn import init
 from repro.nn.layers import Linear
-from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, concat
-from repro.utils.rng import SeedLike, as_rng, spawn_rng
+from repro.nn.module import Module
+from repro.nn.tensor import Tensor
+from repro.utils.rng import SeedLike, slice_rngs, spawn_rng
 
 
 class Aggregator(Module):
-    """Interface: ``forward(self_feats, neighbor_feats) -> Tensor``."""
+    """Interface: ``forward(self_feats, neighbor_feats, rows=None) -> Tensor``.
+
+    With ``stack=S`` every weight holds S independent aggregators (see
+    :class:`~repro.nn.layers.Linear`): inputs carry a leading axis of S
+    (``(S, batch, d_in)`` and ``(S, batch, n, d_in)``), and ``rows`` picks
+    a subset of the S.
+    """
 
     def __init__(self, in_dim: int, out_dim: int):
         super().__init__()
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def forward(self, self_feats: Tensor, neighbor_feats: Tensor) -> Tensor:
+    def forward(self, self_feats: Tensor, neighbor_feats: Tensor,
+                rows: Optional[np.ndarray] = None) -> Tensor:
         raise NotImplementedError
 
 
 class MeanAggregator(Aggregator):
     """h' = ReLU([h_self ; mean(h_neigh)] W) — the paper's default."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: SeedLike = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: SeedLike = None,
+                 stack: Optional[int] = None):
         super().__init__(in_dim, out_dim)
-        self.combine = Linear(2 * in_dim, out_dim, rng=as_rng(rng))
+        self.combine = Linear(2 * in_dim, out_dim, rng=rng, stack=stack)
 
-    def forward(self, self_feats: Tensor, neighbor_feats: Tensor) -> Tensor:
+    def forward(self, self_feats: Tensor, neighbor_feats: Tensor,
+                rows: Optional[np.ndarray] = None) -> Tensor:
         pooled = neighbor_feats.mean(axis=-2)
-        merged = concat([self_feats, pooled], axis=-1)
-        return self.combine(merged).relu()
+        return self.combine(self_feats, pooled, rows=rows).relu()
 
 
 class MaxPoolAggregator(Aggregator):
     """Transform each neighbor with an MLP, take elementwise max, combine."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: SeedLike = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: SeedLike = None,
+                 stack: Optional[int] = None):
         super().__init__(in_dim, out_dim)
-        rng = as_rng(rng)
-        self.transform = Linear(in_dim, in_dim, rng=spawn_rng(rng))
-        self.combine = Linear(2 * in_dim, out_dim, rng=spawn_rng(rng))
+        rngs = slice_rngs(rng, stack or 1)
+        self.transform = Linear(in_dim, in_dim, rng=[spawn_rng(r) for r in rngs], stack=stack)
+        self.combine = Linear(2 * in_dim, out_dim, rng=[spawn_rng(r) for r in rngs],
+                              stack=stack)
 
-    def forward(self, self_feats: Tensor, neighbor_feats: Tensor) -> Tensor:
-        transformed = self.transform(neighbor_feats).relu()
+    def forward(self, self_feats: Tensor, neighbor_feats: Tensor,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        transformed = self.transform(neighbor_feats, rows=rows).relu()
         pooled = transformed.max(axis=-2)
-        merged = concat([self_feats, pooled], axis=-1)
-        return self.combine(merged).relu()
+        return self.combine(self_feats, pooled, rows=rows).relu()
 
 
 class LSTMAggregator(Aggregator):
@@ -74,32 +85,35 @@ class LSTMAggregator(Aggregator):
     already randomises that order.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: SeedLike = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: SeedLike = None,
+                 stack: Optional[int] = None):
         super().__init__(in_dim, out_dim)
-        rng = as_rng(rng)
+        rngs = slice_rngs(rng, stack or 1)
         hidden = in_dim
         self.hidden_dim = hidden
-        # Fused gate weights: [input, forget, cell, output] stacked.
-        self.w_x = Parameter(init.xavier_uniform((in_dim, 4 * hidden), rng=spawn_rng(rng)))
-        self.w_h = Parameter(init.xavier_uniform((hidden, 4 * hidden), rng=spawn_rng(rng)))
-        self.b = Parameter(np.zeros(4 * hidden))
-        self.combine = Linear(2 * in_dim, out_dim, rng=spawn_rng(rng))
+        # Fused gate weights over [x_t ; h_{t-1}]: [input, forget, cell,
+        # output] stacked along the output axis.
+        self.gates = Linear(in_dim + hidden, 4 * hidden, rng=[spawn_rng(r) for r in rngs],
+                            stack=stack)
+        self.combine = Linear(2 * in_dim, out_dim, rng=[spawn_rng(r) for r in rngs],
+                              stack=stack)
 
-    def forward(self, self_feats: Tensor, neighbor_feats: Tensor) -> Tensor:
-        batch, n_neighbors = neighbor_feats.shape[0], neighbor_feats.shape[1]
-        hidden = Tensor(np.zeros((batch, self.hidden_dim)))
-        cell = Tensor(np.zeros((batch, self.hidden_dim)))
+    def forward(self, self_feats: Tensor, neighbor_feats: Tensor,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        n_neighbors = neighbor_feats.shape[-2]
+        state_shape = neighbor_feats.shape[:-2] + (self.hidden_dim,)
+        hidden = Tensor(np.zeros(state_shape))
+        cell = Tensor(np.zeros(state_shape))
+        h = self.hidden_dim
         for step in range(n_neighbors):
-            x_t = neighbor_feats[:, step, :]
-            gates = x_t @ self.w_x + hidden @ self.w_h + self.b
-            i_gate = gates[:, : self.hidden_dim].sigmoid()
-            f_gate = gates[:, self.hidden_dim: 2 * self.hidden_dim].sigmoid()
-            g_gate = gates[:, 2 * self.hidden_dim: 3 * self.hidden_dim].tanh()
-            o_gate = gates[:, 3 * self.hidden_dim:].sigmoid()
+            gates = self.gates(neighbor_feats[..., step, :], hidden, rows=rows)
+            i_gate = gates[..., :h].sigmoid()
+            f_gate = gates[..., h: 2 * h].sigmoid()
+            g_gate = gates[..., 2 * h: 3 * h].tanh()
+            o_gate = gates[..., 3 * h:].sigmoid()
             cell = f_gate * cell + i_gate * g_gate
             hidden = o_gate * cell.tanh()
-        merged = concat([self_feats, hidden], axis=-1)
-        return self.combine(merged).relu()
+        return self.combine(self_feats, hidden, rows=rows).relu()
 
 
 _AGGREGATORS = {
@@ -109,7 +123,8 @@ _AGGREGATORS = {
 }
 
 
-def make_aggregator(kind: str, in_dim: int, out_dim: int, rng: SeedLike = None) -> Aggregator:
+def make_aggregator(kind: str, in_dim: int, out_dim: int, rng: SeedLike = None,
+                    stack: Optional[int] = None) -> Aggregator:
     """Factory for the three aggregator kinds: ``mean``, ``pool``, ``lstm``."""
     try:
         cls = _AGGREGATORS[kind]
@@ -117,4 +132,4 @@ def make_aggregator(kind: str, in_dim: int, out_dim: int, rng: SeedLike = None) 
         raise ValueError(
             f"unknown aggregator {kind!r}; expected one of {sorted(_AGGREGATORS)}"
         ) from None
-    return cls(in_dim, out_dim, rng=rng)
+    return cls(in_dim, out_dim, rng=rng, stack=stack)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
-from repro.utils.rng import SeedLike, as_rng, spawn_rng
+from repro.utils.rng import SeedLike, slice_rngs, spawn_rng
 
 
 class SelfAttention(Module):
@@ -29,23 +29,30 @@ class SelfAttention(Module):
     attn_dim:
         Projection size ``d_k`` for queries/keys/values (the output feature
         size is also ``attn_dim``, matching the paper's formulation).
+    stack:
+        If given, hold that many independent heads as stacked weights
+        (:class:`~repro.nn.layers.Linear`; ``rng`` may give one generator
+        per head); ``h`` then carries a leading axis of that size, and
+        ``rows`` picks a subset of the heads.
     """
 
-    def __init__(self, in_dim: int, attn_dim: int, rng: SeedLike = None):
+    def __init__(self, in_dim: int, attn_dim: int, rng: SeedLike = None,
+                 stack: Optional[int] = None):
         super().__init__()
-        rng = as_rng(rng)
+        rngs = slice_rngs(rng, stack or 1)
         self.in_dim = in_dim
         self.attn_dim = attn_dim
-        self.query = Linear(in_dim, attn_dim, bias=False, rng=spawn_rng(rng))
-        self.key = Linear(in_dim, attn_dim, bias=False, rng=spawn_rng(rng))
-        self.value = Linear(in_dim, attn_dim, bias=False, rng=spawn_rng(rng))
+        self.query, self.key, self.value = (
+            Linear(in_dim, attn_dim, bias=False, rng=[spawn_rng(r) for r in rngs], stack=stack)
+            for _ in range(3)
+        )
         self._last_weights: Optional[np.ndarray] = None
 
-    def forward(self, h: Tensor) -> Tensor:
+    def forward(self, h: Tensor, rows: Optional[np.ndarray] = None) -> Tensor:
         """Attend ``h`` of shape ``(..., n, in_dim)`` -> ``(..., n, attn_dim)``."""
-        q = self.query(h)
-        k = self.key(h)
-        v = self.value(h)
+        q = self.query(h, rows=rows)
+        k = self.key(h, rows=rows)
+        v = self.value(h, rows=rows)
         scores = (q @ k.transpose(-2, -1)) * (1.0 / np.sqrt(self.attn_dim))
         weights = scores.softmax(axis=-1)
         self._last_weights = weights.data.copy()

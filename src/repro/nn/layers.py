@@ -2,31 +2,61 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, embedding_lookup
-from repro.utils.rng import SeedLike, as_rng
+from repro.nn.tensor import Tensor, concat, embedding_lookup
+from repro.utils.rng import SeedLike, as_rng, slice_rngs
 
 
 class Linear(Module):
-    """Affine map ``y = x W + b`` over the last axis of ``x``."""
+    """Affine map ``y = x W + b`` over the last axis of ``x``.
+
+    ``forward(*parts)`` concatenates its inputs along the last axis first.
+
+    With ``stack=S`` the layer holds S independent maps in one weight of
+    shape ``(S, in, out)`` and maps ``x`` of shape ``(S, ..., in)`` slice by
+    slice as one batched GEMM; ``rng`` may be a list of one generator per
+    slice (:func:`~repro.utils.rng.slice_rngs`).  A stacked bias is the weight's last input
+    row, fed by a constant ones column, so no ``(S, 1, out)`` operand is
+    stretched across the rows.  ``rows`` runs a subset of the S maps: their
+    slices are gathered, so the unused slices get no gradient.
+    """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: SeedLike = None):
+                 rng: SeedLike = None, stack: Optional[int] = None):
         super().__init__()
-        rng = as_rng(rng)
+        rngs = slice_rngs(rng, stack or 1)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng=rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.stack = stack
+        self._bias_row = bias and stack is not None
+        if stack is None:
+            self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng=rngs[0]))
+            self.bias = Parameter(np.zeros(out_features)) if bias else None
+            return
+        slices = [init.xavier_uniform((in_features, out_features), rng=r) for r in rngs]
+        if bias:
+            slices = [np.vstack([w, np.zeros((1, out_features))]) for w in slices]
+        self.weight = Parameter(np.stack(slices))
+        self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def forward(self, *parts: Tensor, rows: Optional[np.ndarray] = None) -> Tensor:
+        if self._bias_row:
+            parts += (Tensor(np.ones(parts[0].shape[:-1] + (1,))),)
+        x = parts[0] if len(parts) == 1 else concat(parts, axis=-1)
+        if self.stack is None:
+            out = x @ self.weight
+            return out if self.bias is None else out + self.bias
+        weight = self.weight if rows is None else embedding_lookup(self.weight, rows)
+        if x.ndim == 3:
+            return x @ weight
+        lead = x.shape[:-1]
+        flat = x.reshape(lead[0], -1, x.shape[-1])
+        return (flat @ weight).reshape(lead + (self.out_features,))
 
 
 class Embedding(Module):

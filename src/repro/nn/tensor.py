@@ -83,6 +83,7 @@ class Tensor:
         "_data",
         "_grad",
         "_grad_rows",
+        "_grad_borrowed",
         "requires_grad",
         "_backward",
         "_parents",
@@ -99,6 +100,9 @@ class Tensor:
         self.requires_grad: bool = bool(requires_grad)
         self._grad: Optional[np.ndarray] = None
         self._grad_rows: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        # True while ``_grad`` is an array this tensor did not allocate (an
+        # adopted contribution) or has handed to its parents: copy on write.
+        self._grad_borrowed: bool = False
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
@@ -167,6 +171,7 @@ class Tensor:
     def grad(self, value: Optional[np.ndarray]) -> None:
         self._grad = value
         self._grad_rows = None
+        self._grad_borrowed = value is not None
 
     def grad_rows(self):
         """The gradient as ``(rows, values)``, or ``(None, None)`` if absent.
@@ -190,6 +195,8 @@ class Tensor:
         if not self.requires_grad:
             return
         if self._grad is not None:
+            if self._grad_borrowed:
+                self._grad, self._grad_borrowed = self._grad.copy(), False
             self._grad[rows] += values
         elif self._grad_rows is None:
             self._grad_rows = [(rows, values)]
@@ -263,14 +270,28 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add a dense contribution, adopting the first one without a copy.
+
+        The first contribution of the right shape and dtype is stored as
+        is and marked borrowed: backward closures hand the same array to
+        several parents (``add``) or pass views (``sum``, ``reshape``), so
+        it is copied only when a second contribution has to be added.
+        """
         if not self.requires_grad:
             return
         if self._grad_rows is not None:
             # A dense contribution makes the whole gradient dense; fold the
             # pending rows first so each row keeps its arrival-order sum.
             self._grad, self._grad_rows = self.grad, None
+            self._grad_borrowed = False
         elif self._grad is None:
-            self._grad = np.zeros_like(self._data)
+            if grad.shape == self._data.shape and grad.dtype == np.float64:
+                self._grad, self._grad_borrowed = grad, True
+                return
+            self._grad, self._grad_borrowed = np.zeros_like(self._data), False
+        elif self._grad_borrowed:
+            self._grad, self._grad_borrowed = self._grad + grad, False
+            return
         self._grad += grad
 
     def _check_saved_versions(self) -> None:
@@ -309,7 +330,7 @@ class Tensor:
                     f"got shape {self.shape}"
                 )
             grad = np.ones_like(self._data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.array(grad, dtype=np.float64)  # the caller keeps its array
         if grad.shape != self._data.shape:
             raise ShapeError(
                 f"gradient shape {grad.shape} does not match tensor shape {self.shape}"
@@ -347,6 +368,9 @@ class Tensor:
             if node._saved_versions is not None:
                 node._check_saved_versions()
             node._backward(node_grad)
+            # The parents may now hold this array: a later contribution
+            # (a second backward through this node) must not write into it.
+            node._grad_borrowed = True
             if anomaly:
                 for index, parent in enumerate(node._parents):
                     if parent.grad is None or np.isfinite(parent.grad).all():
@@ -473,7 +497,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self._data.shape).copy())
+            self._accumulate(np.broadcast_to(g, self._data.shape))
 
         return Tensor._make(
             out_data,

@@ -50,17 +50,17 @@ class TestMetapathFlow:
         graph = taobao_dataset.graph
         scheme = taobao_dataset.schemes_for("page_view")[0]
         features = Embedding(graph.num_nodes, 6, rng=0)
-        flow = MetapathFlow(graph, scheme, features, 6, (3, 2), rng=0)
+        flow = MetapathFlow(graph, [scheme], features, 6, (3, 2), rng=0)
         users = graph.nodes_of_type("user")[:7]
         out = flow(users)
-        assert out.shape == (7, 6)
+        assert out.shape == (1, 7, 6)
 
     def test_label_and_start_type(self, taobao_dataset):
         graph = taobao_dataset.graph
         scheme = taobao_dataset.schemes_for("page_view")[0]
         features = Embedding(graph.num_nodes, 6, rng=0)
-        flow = MetapathFlow(graph, scheme, features, 6, (3, 2), rng=0)
-        assert flow.label == "U-I-U"
+        flow = MetapathFlow(graph, [scheme], features, 6, (3, 2), rng=0)
+        assert flow.labels == ["U-I-U"]
         assert flow.start_type == "user"
 
     def test_too_few_fanouts_rejected(self, taobao_dataset):
@@ -68,7 +68,7 @@ class TestMetapathFlow:
         scheme = taobao_dataset.schemes_for("page_view")[0]
         features = Embedding(graph.num_nodes, 6, rng=0)
         with pytest.raises(ValueError):
-            MetapathFlow(graph, scheme, features, 6, (3,), rng=0)
+            MetapathFlow(graph, [scheme], features, 6, (3,), rng=0)
 
     @pytest.mark.parametrize("aggregator", ["mean", "pool", "lstm"])
     def test_all_aggregator_kinds(self, taobao_dataset, aggregator):
@@ -76,10 +76,10 @@ class TestMetapathFlow:
         scheme = taobao_dataset.schemes_for("page_view")[0]
         features = Embedding(graph.num_nodes, 4, rng=0)
         flow = MetapathFlow(
-            graph, scheme, features, 4, (2, 2), aggregator=aggregator, rng=0
+            graph, [scheme], features, 4, (2, 2), aggregator=aggregator, rng=0
         )
         out = flow(graph.nodes_of_type("user")[:3])
-        assert out.shape == (3, 4)
+        assert out.shape == (1, 3, 4)
 
 
 class TestExplorationFlow:
@@ -108,6 +108,6 @@ class TestRandomNeighborFlow:
         graph = taobao_dataset.graph
         features = Embedding(graph.num_nodes, 6, rng=0)
         flow = RandomNeighborFlow(
-            graph, "page_view", features, 6, depth=2, fanout=3, rng=0
+            graph, ["page_view"], features, 6, depth=2, fanout=3, rng=0
         )
-        assert flow(np.arange(6)).shape == (6, 6)
+        assert flow(np.arange(6)).shape == (1, 6, 6)

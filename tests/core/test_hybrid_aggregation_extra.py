@@ -14,7 +14,7 @@ class TestFlowGradients:
         graph = taobao_dataset.graph
         scheme = taobao_dataset.schemes_for("page_view")[0]
         features = Embedding(graph.num_nodes, 6, rng=0)
-        flow = MetapathFlow(graph, scheme, features, 6, (3, 2), rng=0)
+        flow = MetapathFlow(graph, [scheme], features, 6, (3, 2), rng=0)
         users = graph.nodes_of_type("user")[:8]
         flow(users).sum().backward()
         assert features.weight.grad is not None
@@ -39,7 +39,7 @@ class TestFlowDeterminism:
 
         def build_and_run():
             features = Embedding(graph.num_nodes, 6, rng=1)
-            flow = MetapathFlow(graph, scheme, features, 6, (3, 2), rng=2)
+            flow = MetapathFlow(graph, [scheme], features, 6, (3, 2), rng=2)
             return flow(graph.nodes_of_type("user")[:5]).data
 
         np.testing.assert_array_equal(build_and_run(), build_and_run())
@@ -49,7 +49,7 @@ class TestFlowDeterminism:
         graph = taobao_dataset.graph
         scheme = taobao_dataset.schemes_for("page_view")[0]
         features = Embedding(graph.num_nodes, 6, rng=1)
-        flow = MetapathFlow(graph, scheme, features, 6, (3, 2), rng=2)
+        flow = MetapathFlow(graph, [scheme], features, 6, (3, 2), rng=2)
         users = graph.nodes_of_type("user")[:5]
         a = flow(users).data
         b = flow(users).data
@@ -68,9 +68,9 @@ class TestFlowShapesAcrossSchemes:
         scheme = schemes[pattern_index]
         features = Embedding(graph.num_nodes, 4, rng=0)
         flow = MetapathFlow(
-            graph, scheme, features, 4, (3, 2, 2, 2), rng=0
+            graph, [scheme], features, 4, (3, 2, 2, 2), rng=0
         )
         starts = graph.nodes_of_type(scheme.start_type)[:4]
         out = flow(starts)
-        assert out.shape == (4, 4)
+        assert out.shape == (1, 4, 4)
         assert np.all(np.isfinite(out.data))

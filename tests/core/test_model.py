@@ -80,7 +80,7 @@ class TestAblationVariants:
             taobao_split.train_graph, taobao_dataset.all_schemes(), config, rng=0
         )
         assert model(np.arange(4), "page_view").shape == (4, 8)
-        assert model.metapath_attention["page_view"].attention is None
+        assert model.metapath_attention.attention is None
 
     def test_no_relationship_attention(self, taobao_dataset, taobao_split):
         config = HybridGNNConfig(
@@ -113,10 +113,13 @@ class TestAblationVariants:
         )
         from repro.core.hybrid_aggregation import RandomNeighborFlow
 
-        for relation in model.relations:
-            flows = list(model.flows[relation])
+        for node_type in taobao_split.train_graph.schema.node_types:
+            groups = list(model.flows[node_type])
+            assert len(groups) == 1
+            flows = list(groups[0].stacks)
             assert len(flows) == 1
             assert isinstance(flows[0], RandomNeighborFlow)
+            assert flows[0].relations == model.relations
         assert model(np.arange(4), "page_view").shape == (4, 8)
 
     def test_missing_schemes_rejected(self, taobao_split, tiny_hybrid_config):
