@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import MetapathLevelAttention, RelationshipLevelAttention
 from repro.nn import Tensor
+from repro.nn.tensor import stack
 
 
 def flows(n_flows, batch=4, dim=6, seed=0):
@@ -59,19 +60,19 @@ class TestMetapathLevelAttention:
 class TestRelationshipLevelAttention:
     def test_output_shape(self):
         attn = RelationshipLevelAttention(6, rng=0)
-        out = attn(flows(4))
+        out = attn(stack(flows(4), axis=1))
         assert out.shape == (4, 4, 6)
 
     def test_disabled_is_identity_stack(self):
         attn = RelationshipLevelAttention(6, enabled=False)
         inputs = flows(3)
-        out = attn(inputs)
+        out = attn(stack(inputs, axis=1))
         for idx, tensor in enumerate(inputs):
             np.testing.assert_allclose(out.data[:, idx], tensor.data)
 
     def test_relation_importance_is_distribution(self):
         attn = RelationshipLevelAttention(6, rng=0)
-        attn(flows(5))
+        attn(stack(flows(5), axis=1))
         importance = attn.last_relation_importance
         assert importance.shape == (5,)
         assert importance.sum() == pytest.approx(1.0)
@@ -80,7 +81,7 @@ class TestRelationshipLevelAttention:
         """With attention on, each output position depends on all inputs."""
         attn = RelationshipLevelAttention(4, rng=0)
         inputs = flows(3, batch=2, dim=4)
-        attn(inputs)[:, 0, :].sum().backward()
+        attn(stack(inputs, axis=1))[:, 0, :].sum().backward()
         # Output slot 0 must receive gradient from slots 1 and 2 too.
         assert np.any(inputs[1].grad != 0)
         assert np.any(inputs[2].grad != 0)
@@ -88,6 +89,6 @@ class TestRelationshipLevelAttention:
     def test_disabled_does_not_mix(self):
         attn = RelationshipLevelAttention(4, enabled=False)
         inputs = flows(3, batch=2, dim=4)
-        attn(inputs)[:, 0, :].sum().backward()
+        attn(stack(inputs, axis=1))[:, 0, :].sum().backward()
         assert np.all(inputs[1].grad == 0)
         assert np.all(inputs[2].grad == 0)
