@@ -27,10 +27,20 @@ from repro.check.trace import Tracer, trace
 from repro.errors import CheckError
 from repro.utils.rng import SeedLike, as_rng, spawn_rng
 
-__all__ = ["CHECKABLE_MODELS", "check_model", "pick_batch_size"]
+__all__ = ["CHECKABLE_MODELS", "NODE_TABLES", "check_model", "node_symbol",
+           "pick_batch_size"]
 
 #: Models ``repro check-model`` can trace (HybridGNN + the GNN baselines).
 CHECKABLE_MODELS: Tuple[str, ...] = ("HybridGNN", "GCN", "GraphSage", "R-GCN")
+
+#: Per checkable model, the parameters whose axis 0 is indexed by node id:
+#: the only parameter extents the ``N`` symbol may tag.
+NODE_TABLES: Dict[str, Tuple[str, ...]] = {
+    "HybridGNN": ("base.weight", "features.weight", "context.weight"),
+    "GCN": ("x",),
+    "R-GCN": ("x",),
+    "GraphSage": ("features.weight",),
+}
 
 _BATCH_CANDIDATES: Tuple[int, ...] = (
     13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 79, 83, 89,
@@ -59,6 +69,36 @@ def pick_batch_size(
     raise CheckError(
         f"no usable batch size among {_BATCH_CANDIDATES} for num_nodes={num_nodes}"
     )
+
+
+def node_symbol(
+    num_nodes: int,
+    named_params: Iterable[Tuple[str, object]],
+    node_tables: Iterable[str],
+) -> Dict[int, str]:
+    """``{num_nodes: "N"}`` once no architectural extent equals it.
+
+    Dims are symbolised by value, so ``N`` is sound only when
+    ``num_nodes`` is the extent of node-table rows alone.  Any other
+    parameter extent equal to it (a hidden width, a stacked weight's
+    bias row, ...) would render as ``N`` too; that raises a
+    :class:`CheckError` naming the colliding parameters, as
+    :func:`pick_batch_size` refuses a batch size that aliases one.
+    """
+    tables = set(node_tables)
+    collisions = [
+        f"{name} {tuple(np.shape(param.data))} axis {axis}"
+        for name, param in named_params
+        for axis, extent in enumerate(np.shape(param.data))
+        if extent == num_nodes and not (axis == 0 and name in tables)
+    ]
+    if collisions:
+        raise CheckError(
+            f"num_nodes={num_nodes} equals an architectural extent, so the "
+            f"node symbol N would also tag: {'; '.join(collisions)}; check "
+            "a graph whose node count matches no parameter dim"
+        )
+    return {int(num_nodes): "N"}
 
 
 def _mixed_type_batch(graph, batch_size: int, rng) -> np.ndarray:
@@ -98,11 +138,16 @@ def _finish(
     tracer: Tracer,
     loss,
     named_params: Sequence[Tuple[str, object]],
-    symbols: Dict[int, str],
+    batch_size: int,
+    num_nodes: int,
     exemptions: Dict[str, str],
     model: str,
     dataset: str,
 ) -> CheckReport:
+    symbols = {
+        batch_size: "B",
+        **node_symbol(num_nodes, named_params, NODE_TABLES[model]),
+    }
     root = tracer.index_of(loss)
     tracer.annotate_parameters(named_params)
     return audit_graph(
@@ -153,7 +198,8 @@ def _check_hybridgnn(dataset, config, seed: SeedLike) -> CheckReport:
         tracer,
         loss,
         list(model.named_parameters()),
-        {batch_size: "B", graph.num_nodes: "N"},
+        batch_size,
+        graph.num_nodes,
         dict(model.audit_exemptions()),
         "HybridGNN",
         dataset.name,
@@ -185,7 +231,8 @@ def _check_gcn(dataset, dim: int, seed: SeedLike) -> CheckReport:
         tracer,
         loss,
         list(encoder.named_parameters()),
-        {len(idx): "B", graph.num_nodes: "N"},
+        len(idx),
+        graph.num_nodes,
         {},
         "GCN",
         dataset.name,
@@ -241,7 +288,8 @@ def _check_rgcn(dataset, dim: int, seed: SeedLike) -> CheckReport:
         tracer,
         loss,
         named,
-        {batch_size: "B", graph.num_nodes: "N"},
+        batch_size,
+        graph.num_nodes,
         exemptions,
         "R-GCN",
         dataset.name,
@@ -281,7 +329,8 @@ def _check_graphsage(dataset, dim: int, seed: SeedLike) -> CheckReport:
         tracer,
         loss,
         list(encoder.named_parameters()),
-        {len(idx): "B", graph.num_nodes: "N"},
+        len(idx),
+        graph.num_nodes,
         {},
         "GraphSage",
         dataset.name,

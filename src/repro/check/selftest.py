@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.check.report import CheckReport
-from repro.check.runner import pick_batch_size
+from repro.check.runner import NODE_TABLES, node_symbol, pick_batch_size
 from repro.check.trace import trace
 from repro.check.audit import audit_graph
 from repro.utils.rng import SeedLike, as_rng, spawn_rng
@@ -44,16 +44,20 @@ __all__ = [
 
 
 def _tiny_graph():
-    """Users 0-2, items 3-6, two overlapping relationships."""
+    """Users 0-2, items 3-7, two overlapping relationships.
+
+    Eight nodes: seven is the flows' stacked combine width (2 * edge_dim
+    + 1), which :func:`~repro.check.runner.node_symbol` refuses as N.
+    """
     from repro.graph.builder import GraphBuilder
     from repro.graph.schema import GraphSchema
 
     builder = GraphBuilder(GraphSchema(["user", "item"], ["view", "buy"]))
     builder.add_nodes("user", 3)
-    builder.add_nodes("item", 4)
-    for u, v in [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6)]:
+    builder.add_nodes("item", 5)
+    for u, v in [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6), (2, 7)]:
         builder.add_edge(u, v, "view")
-    for u, v in [(0, 3), (1, 4), (2, 5), (0, 6)]:
+    for u, v in [(0, 3), (1, 4), (2, 5), (0, 6), (1, 7)]:
         builder.add_edge(u, v, "buy")
     return builder.build()
 
@@ -104,11 +108,12 @@ def _make_miswired_class():
     return MiswiredHybridGNN
 
 
-def _audit(model_cls, model_label: str, seed: SeedLike) -> CheckReport:
+def _audit(model_cls, model_label: str, seed: SeedLike,
+           graph=None) -> CheckReport:
     from repro.core.loss import skip_gram_loss
 
     rng = as_rng(seed)
-    graph = _tiny_graph()
+    graph = _tiny_graph() if graph is None else graph
     config = _tiny_config()
     model = model_cls(graph, _tiny_schemes(graph), config, rng=spawn_rng(rng))
     batch_size = pick_batch_size(
@@ -128,12 +133,17 @@ def _audit(model_cls, model_label: str, seed: SeedLike) -> CheckReport:
             embeddings = model(nodes, relation)
             rel_loss = skip_gram_loss(embeddings, model.context, contexts, negatives)
             loss = rel_loss if loss is None else loss + rel_loss
+    named_params = list(model.named_parameters())
+    symbols = {
+        batch_size: "B",
+        **node_symbol(graph.num_nodes, named_params, NODE_TABLES["HybridGNN"]),
+    }
     root = tracer.index_of(loss)
-    tracer.annotate_parameters(model.named_parameters())
+    tracer.annotate_parameters(named_params)
     return audit_graph(
         tracer,
         root,
-        symbols={batch_size: "B", graph.num_nodes: "N"},
+        symbols=symbols,
         exemptions=model.audit_exemptions(),
         model=model_label,
         dataset="tiny",

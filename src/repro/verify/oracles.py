@@ -841,13 +841,16 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     *every* accepted edge it reconstructs a
     :class:`~repro.graph.multiplex.MultiplexHeteroGraph` from scratch and
     serves each read through a **fresh** engine (no caches to go stale).
-    Four gates on one seeded mixed trace:
+    Five gates on one seeded mixed trace:
 
     - every read's top-K ids and score bits match the reference exactly,
       across at least three compaction cycles;
     - at every compaction boundary the folded base CSR is bit-identical
       (indptr and indices) to a from-scratch build over the full edge
       list, for every relation;
+    - after every accepted feedback between compactions, every relation's
+      merged ``view.csr()`` (spliced, not rebuilt) is bit-identical to
+      ``_build_csr`` over ``view.edges()``;
     - a never-seen node streamed in by feedback is servable immediately
       (cold-start, no restart) and matches the reference;
     - replaying the trace twice on fresh services yields the same result
@@ -929,8 +932,9 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
 
     read_diff = 0.0
     csr_diff = 0.0
+    merged_diff = 0.0
     cold_diff = 0.0
-    reads = cold_reads = compactions = 0
+    reads = cold_reads = compactions = merged_checks = 0
     mismatch = ""
     for op in trace:
         if op.op == "feedback":
@@ -960,6 +964,19 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
                         and np.array_equal(fast_csr[1], slow_csr[1])
                     ):
                         csr_diff = float("inf")
+            elif result["accepted"]:
+                view = service.view
+                merged_checks += 1
+                for rel in schema.relationships:
+                    served = view.csr(rel)
+                    rebuilt = MultiplexHeteroGraph._build_csr(
+                        view.num_nodes, *view.edges(rel)
+                    )
+                    if not (
+                        np.array_equal(served[0], rebuilt[0])
+                        and np.array_equal(served[1], rebuilt[1])
+                    ):
+                        merged_diff = float("inf")
             if result["new_nodes"]:
                 # Cold-start gate: servable immediately, no restart.
                 for cold in result["new_nodes"]:
@@ -982,6 +999,8 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
                 mismatch = f" (first mismatch: {op.op} node {node})"
     if compactions < 3:
         csr_diff = float("inf")
+    if not merged_checks:
+        merged_diff = float("inf")
 
     results = [
         _result(
@@ -993,6 +1012,12 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
             "compaction_csr_bit_identity", "service", csr_diff,
             f"folded base CSR vs from-scratch build at {compactions} "
             f"compaction boundaries (>=3 required), all relations",
+        ),
+        _result(
+            "merged_csr_bit_identity", "service", merged_diff,
+            f"spliced view.csr() vs _build_csr over view.edges() after "
+            f"{merged_checks} accepted feedbacks between compactions, all "
+            f"relations",
         ),
         _result(
             "cold_start_servable", "service", cold_diff,

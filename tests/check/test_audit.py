@@ -111,3 +111,54 @@ class TestReportSerialization:
         miswired = build_miswired_report(seed=0)
         text = format_text(miswired, strict=True)
         assert "FAIL" in text
+
+
+class TestNodeSymbolGuard:
+    """N is symbolised by value, so it must not alias an architectural dim."""
+
+    @staticmethod
+    def seven_node_graph():
+        # 7 nodes = the self-test config's stacked combine width 2*3+1.
+        from repro.graph.builder import GraphBuilder
+        from repro.graph.schema import GraphSchema
+
+        builder = GraphBuilder(GraphSchema(["user", "item"], ["view", "buy"]))
+        builder.add_nodes("user", 3)
+        builder.add_nodes("item", 4)
+        for u, v in [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6)]:
+            builder.add_edge(u, v, "view")
+        for u, v in [(0, 3), (1, 4), (2, 5), (0, 6)]:
+            builder.add_edge(u, v, "buy")
+        return builder.build()
+
+    def test_colliding_node_count_raises_naming_the_parameter(self):
+        from repro.check.selftest import _audit
+        from repro.core.model import HybridGNN
+        from repro.errors import CheckError
+
+        with pytest.raises(CheckError, match=r"num_nodes=7") as excinfo:
+            _audit(HybridGNN, "HybridGNN", 0, graph=self.seven_node_graph())
+        assert "combine.weight (2, 7, 3) axis 1" in str(excinfo.value)
+
+    def test_node_tables_alone_render_as_n(self, reports):
+        rendered = " ".join(
+            f.message for f in reports["miswired"].findings
+        )
+        assert "(N, 3)" in rendered            # features.weight
+        assert "(2, N, 3)" not in rendered     # combine weights stay concrete
+
+    def test_node_symbol_rules(self):
+        import numpy as np
+
+        from repro.check.runner import node_symbol
+        from repro.errors import CheckError
+        from repro.nn.module import Parameter
+
+        table = ("table", Parameter(np.zeros((5, 3))))
+        assert node_symbol(5, [table], ["table"]) == {5: "N"}
+        # The same shape is a collision when it is not a declared table.
+        with pytest.raises(CheckError, match="table"):
+            node_symbol(5, [table], [])
+        width = ("proj.weight", Parameter(np.zeros((3, 5))))
+        with pytest.raises(CheckError, match=r"proj\.weight \(3, 5\) axis 1"):
+            node_symbol(5, [table, width], ["table"])

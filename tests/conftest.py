@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import HybridGNNConfig, TrainerConfig
 from repro.datasets import load_dataset, split_edges
 from repro.graph import GraphBuilder, GraphSchema
+
+# ``HYPOTHESIS_PROFILE=nightly`` (the nightly CI job) runs ten times the
+# default profile's examples; tier-1 keeps the default.  Tests that pin
+# ``max_examples`` scale it by ``settings.default.max_examples / 100``.
+settings.register_profile("nightly", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

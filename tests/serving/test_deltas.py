@@ -54,6 +54,12 @@ def assert_bit_identical(view: DeltaGraphView) -> None:
         assert view.num_edges_in(relation) == rebuilt.num_edges_in(relation)
 
 
+def examples(count: int) -> int:
+    """``count`` under the default hypothesis profile, scaled with a
+    larger one (``HYPOTHESIS_PROFILE=nightly``, see tests/conftest.py)."""
+    return count * settings.default.max_examples // 100
+
+
 # ----------------------------------------------------------------------
 # Hypothesis: arbitrary ingestion interleavings stay bit-identical
 # ----------------------------------------------------------------------
@@ -74,7 +80,23 @@ def ingestion_ops(draw):
     ))
 
 
-@settings(max_examples=40, deadline=None)
+def apply_op(view: DeltaGraphView, op) -> None:
+    """One ingestion op; invalid edges must raise, duplicates are dropped."""
+    if op[0] == "node":
+        view.add_node(op[1])
+        return
+    _, u, v, relation = op
+    if u == v or max(u, v) >= view.num_nodes:
+        with pytest.raises(GraphError):
+            view.add_edge(u, v, relation)
+        return
+    was_present = view.has_edge(u, v, relation)
+    accepted = view.add_edge(u, v, relation)
+    assert accepted == (not was_present)
+    assert view.has_edge(u, v, relation)
+
+
+@settings(max_examples=examples(40), deadline=None)
 @given(ingestion_ops(), st.integers(0, 12))
 def test_merged_view_bit_identical_under_any_interleaving(ops, threshold):
     """Every prefix of every interleaving matches a from-scratch rebuild —
@@ -82,18 +104,7 @@ def test_merged_view_bit_identical_under_any_interleaving(ops, threshold):
     view = DeltaGraphView(build_base(), compaction_threshold=threshold)
     compactions_seen = 0
     for op in ops:
-        if op[0] == "node":
-            view.add_node(op[1])
-        else:
-            _, u, v, relation = op
-            if u == v or max(u, v) >= view.num_nodes:
-                with pytest.raises(GraphError):
-                    view.add_edge(u, v, relation)
-                continue
-            was_present = view.has_edge(u, v, relation)
-            accepted = view.add_edge(u, v, relation)
-            assert accepted == (not was_present)
-            assert view.has_edge(u, v, relation)
+        apply_op(view, op)
         if view.maybe_compact():
             compactions_seen += 1
             assert view.pending_edges == 0 and view.pending_nodes == 0
@@ -102,7 +113,23 @@ def test_merged_view_bit_identical_under_any_interleaving(ops, threshold):
     assert view.compactions == compactions_seen
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
+@given(ingestion_ops(), st.lists(st.booleans(), min_size=40, max_size=40),
+       st.integers(0, 12))
+def test_merged_view_bit_identical_with_batched_reads(ops, reads, threshold):
+    """Reads only at drawn points: several edges and new nodes land between
+    two reads, so one read splices a whole batch into the cached arrays."""
+    view = DeltaGraphView(build_base(), compaction_threshold=threshold)
+    for op, read in zip(ops, reads):
+        apply_op(view, op)
+        view.maybe_compact()
+        if read:
+            assert_bit_identical(view)
+    assert_bit_identical(view)
+    assert not delta_findings(view)
+
+
+@settings(max_examples=examples(25), deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_compaction_point_is_unobservable(seed):
     """Reads immediately before and after an explicit compact() agree."""
@@ -238,6 +265,65 @@ class TestDeltaGraphView:
         assert stats["num_nodes"] == 8 and stats["edges_ingested"] == 1
 
 
+class TestSplice:
+    """The merged CSR is extended in place of being rebuilt."""
+
+    def test_rebuilds_at_most_once_per_relation(self, monkeypatch):
+        view = DeltaGraphView(build_base(), compaction_threshold=0)
+        calls = []
+        build_csr = MultiplexHeteroGraph._build_csr
+
+        def counting(num_nodes, src, dst):
+            calls.append(num_nodes)
+            return build_csr(num_nodes, src, dst)
+
+        monkeypatch.setattr(
+            MultiplexHeteroGraph, "_build_csr", staticmethod(counting)
+        )
+        edges = [(0, 5, "view"), (0, 6, "buy"), (1, 4, "view"),
+                 (1, 6, "buy"), (2, 3, "view"), (2, 4, "buy")]
+        for step, (u, v, relation) in enumerate(edges):
+            if step == 3:
+                view.add_node("item")
+            assert view.add_edge(u, v, relation)
+            for rel in view.schema.relationships:
+                view.csr(rel)
+        assert len(calls) <= len(view.schema.relationships)
+        monkeypatch.undo()
+        assert_bit_identical(view)
+
+    def test_write_leaves_other_relation_arrays(self):
+        view = DeltaGraphView(build_base(), compaction_threshold=0)
+        view.add_edge(0, 5, "view")
+        view.add_edge(0, 6, "buy")
+        served = {rel: view.csr(rel) for rel in view.schema.relationships}
+        copies = {
+            rel: tuple(part.copy() for part in arrays)
+            for rel, arrays in served.items()
+        }
+        view.add_edge(1, 6, "view")
+        buy_indptr, buy_indices = view.csr("buy")
+        assert buy_indptr is served["buy"][0]
+        assert buy_indices is served["buy"][1]
+        view.csr("view")
+        # Arrays handed out before the write are never written in place.
+        for rel, (indptr, indices) in served.items():
+            np.testing.assert_array_equal(indptr, copies[rel][0])
+            np.testing.assert_array_equal(indices, copies[rel][1])
+        assert_bit_identical(view)
+
+    def test_new_node_appends_zero_degree_rows(self):
+        view = DeltaGraphView(build_base(), compaction_threshold=0)
+        view.add_edge(0, 5, "view")
+        indptr, indices = view.csr("view")
+        node = view.add_node("user")
+        grown_indptr, grown_indices = view.csr("view")
+        np.testing.assert_array_equal(grown_indptr[:-1], indptr)
+        assert grown_indptr[node + 1] == grown_indptr[node] == indptr[-1]
+        assert grown_indices is indices
+        assert_bit_identical(view)
+
+
 class TestC008DriftFinding:
     def test_clean_view_has_no_findings(self):
         view = DeltaGraphView(build_base())
@@ -251,7 +337,9 @@ class TestC008DriftFinding:
         view.add_edge(0, 5, "view")
         indptr, indices = view.csr("view")
         # Simulate a drifted cache: neighbor order silently permuted.
-        view._merged_csr["view"] = (indptr, indices[::-1].copy())
+        view._merged_csr["view"] = view._merged_csr["view"]._replace(
+            indices=indices[::-1].copy()
+        )
         findings = delta_findings(view)
         assert [f.code for f in findings] == ["C008"]
         assert findings[0].param == "view"

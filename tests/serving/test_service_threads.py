@@ -191,8 +191,14 @@ def test_sanitized_storm_compaction_vs_batch_reads():
     produce zero lock-order errors and zero write-tracker findings, and
     the "view" top-K must stay bit-identical throughout (the write
     stream never touches it).
+
+    ``max_batch=3`` makes every read batch exactly one reader's
+    ``[0, 1, 2]``, the composition of the reference read: a batch
+    coalesced from several readers scores its rows in a larger GEMM,
+    which may round the last bit differently (DESIGN.md "Streaming
+    ingestion").
     """
-    service = make_service(flush_interval=0.001, max_batch=8,
+    service = make_service(flush_interval=0.001, max_batch=3,
                            max_queue=10_000, compaction_threshold=3)
     expected = [
         (ids.tolist(), scores.tolist())
@@ -235,6 +241,8 @@ def test_sanitized_storm_compaction_vs_batch_reads():
     assert findings == [], [f.to_dict() for f in findings]
     assert service.view.compactions == 3
     assert service.queue_depth == 0
+    stats = service.endpoint_stats["recommend"]
+    assert stats.batches == stats.requests // 3
     for observed in results:
         assert observed == expected
     # Rerunning the batch after the storm, sanitizer off, still matches.
