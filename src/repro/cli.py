@@ -26,8 +26,8 @@ Commands
     Regenerate one of the paper's tables or figures.
 ``verify``
     Run the correctness verification suites (gradcheck registry,
-    differential oracles, index recall oracles, sharded-trainer parallel
-    oracles, lock-discipline concurrency oracles, transfer-rule
+    differential oracles, index recall oracles, online-service oracles,
+    lock-discipline concurrency oracles, allocation budgets, transfer-rule
     crosscheck, golden regression corpus); see TESTING.md.
 ``lint``
     Run the project's AST lint rules (R001-R017) over the source tree
@@ -79,35 +79,6 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_parallel(args: argparse.Namespace, profile, dataset, split):
-    """Train shared skip-gram tables with the sharded multi-worker trainer."""
-    from repro.train import ParallelSkipGramTrainer, ParallelTrainerConfig
-
-    tc = profile.trainer
-    config = ParallelTrainerConfig(
-        workers=args.workers,
-        update_mode=args.update_mode,
-        dim=profile.hybrid.base_dim,
-        epochs=tc.epochs,
-        batch_size=tc.batch_size,
-        learning_rate=tc.learning_rate,
-        num_walks=tc.num_walks,
-        walk_length=tc.walk_length,
-        window=tc.window,
-        patience=tc.patience,
-    )
-    print(f"training sharded skip-gram ({args.workers} workers, "
-          f"{args.update_mode} updates, {profile.name} profile) ...")
-    trainer = ParallelSkipGramTrainer(
-        dataset.all_schemes(), split, config, rng=args.seed
-    )
-    history = trainer.fit()
-    if history.val_scores:
-        print(f"best val ROC-AUC {history.best_val_score:.2f}% "
-              f"at epoch {history.best_epoch}")
-    return trainer.embeddings()
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     import dataclasses
 
@@ -122,15 +93,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     split = split_edges(dataset.graph, rng=args.seed + 10_000)
     print(dataset.graph)
-    if args.workers > 1:
-        if args.model != "HybridGNN":
-            print(f"note: --workers {args.workers} uses the sharded "
-                  f"skip-gram trainer; --model {args.model} is ignored")
-        model = _fit_parallel(args, profile, dataset, split)
-    else:
-        model = make_model(args.model, profile, args.seed)
-        print(f"training {args.model} ({profile.name} profile) ...")
-        model.fit(dataset, split)
+    model = make_model(args.model, profile, args.seed)
+    print(f"training {args.model} ({profile.name} profile) ...")
+    model.fit(dataset, split)
 
     link = evaluate_link_prediction(model, split.test)
     rows = [
@@ -322,8 +287,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from repro import verify as verify_mod
 
     suites = (
-        ["gradcheck", "oracles", "index", "service", "parallel",
-         "concurrency", "alloc", "transfer", "golden"]
+        ["gradcheck", "oracles", "index", "service", "concurrency",
+         "alloc", "transfer", "golden"]
         if args.suite == "all"
         else [args.suite]
     )
@@ -383,12 +348,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(verify_mod.format_oracle_table(results))
         ok &= all(r.passed for r in results)
         report["suites"]["service"] = [r.to_dict() for r in results]
-
-    if "parallel" in suites:
-        results = verify_mod.parallel_oracles(seed=args.seed)
-        print(verify_mod.format_oracle_table(results))
-        ok &= all(r.passed for r in results)
-        report["suites"]["parallel"] = [r.to_dict() for r in results]
 
     if "concurrency" in suites:
         results = verify_mod.concurrency_oracles(seed=args.seed)
@@ -518,13 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-checkpoint", default="",
                    help="path for an .npz checkpoint (.npz is appended when "
                         "missing; the path actually written is printed)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes; >1 trains shared skip-gram tables "
-                        "with the sharded trainer (repro.train.parallel)")
-    p.add_argument("--update-mode", default="hogwild",
-                   choices=["hogwild", "average"],
-                   help="multi-worker update rule: lock-free hogwild or "
-                        "periodic parameter averaging (see DESIGN.md)")
     p.add_argument("--resample-walks", type=int, default=0,
                    help="regenerate random walks every N epochs "
                         "(0 = walk once and reuse, the default)")
@@ -599,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the correctness verification suites")
     p.add_argument("--suite", default="all",
                    choices=["all", "gradcheck", "oracles", "index",
-                            "service", "parallel", "concurrency",
-                            "alloc", "transfer", "golden"])
+                            "service", "concurrency", "alloc", "transfer",
+                            "golden"])
     p.add_argument("--refresh-golden", action="store_true",
                    help="re-snapshot the golden corpus instead of checking it")
     p.add_argument("--refresh-alloc-budgets", action="store_true",

@@ -13,7 +13,7 @@ from repro.core.hierarchical_attention import (
 )
 from repro.core.loss import skip_gram_loss, softplus
 from repro.core.model import HybridGNN
-from repro.core.trainer import HybridGNNTrainer, SkipGramTrainer, TrainingHistory
+from repro.core.trainer import SkipGramTrainer, TrainingHistory
 from repro.core.features import (
     LearnedFeatures,
     ProjectedFeatures,
@@ -32,7 +32,6 @@ __all__ = [
     "HybridGNNConfig",
     "TrainerConfig",
     "HybridGNN",
-    "HybridGNNTrainer",
     "SkipGramTrainer",
     "TrainingHistory",
     "MetapathFlow",

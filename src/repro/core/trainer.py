@@ -48,9 +48,8 @@ class SkipGramTrainer:
     and the ``state_dict``/``load_state_dict`` pair.  HybridGNN and the
     skip-gram baselines (GATNE, HAN, MAGNN) all satisfy this.
 
-    The epoch loop is decomposed into three explicitly-bounded stages so
-    alternative executors (the sharded trainer in ``repro.train.parallel``)
-    can swap any one of them without re-implementing the rest:
+    The epoch loop is decomposed into three explicitly-bounded stages, each
+    callable on its own:
 
     - **sample** — :meth:`generate_pairs`: walks → (center, context) pairs
       per relationship.  Consumes spawned child RNGs only.
@@ -62,10 +61,9 @@ class SkipGramTrainer:
       happens here.
 
     Stage boundaries are data (plain dict/list of arrays), never shared
-    mutable state, which is what makes them shippable across process
-    boundaries.  :meth:`fit` composes the stages; :meth:`_reference_fit`
+    mutable state.  :meth:`fit` composes the stages; :meth:`_reference_fit`
     keeps the pre-refactor monolithic loop as a differential oracle
-    (``repro verify --suite parallel`` checks bit-identity).
+    (``repro verify --suite oracles`` checks bit-identity).
     """
 
     def __init__(
@@ -295,7 +293,3 @@ class SkipGramTrainer:
             self.model.load_state_dict(best_state)
             self.model.invalidate_cache()
         return history
-
-
-# HybridGNN was the trainer's original (and primary) client.
-HybridGNNTrainer = SkipGramTrainer

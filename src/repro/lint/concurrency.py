@@ -1,12 +1,11 @@
-"""Concurrency lint rules (R009–R012) for the threaded/forked stack.
+"""Concurrency lint rules (R009, R011, R012) for the threaded stack.
 
 Static counterpart of the runtime sanitizer in
-:mod:`repro.utils.concurrency`.  Four rules cover the bug classes the
-concurrent serving/training paths invite:
+:mod:`repro.utils.concurrency`.  Three rules cover the bug classes the
+concurrent serving path invites:
 
 ======  ==============================================================
 R009    mutation of a guarded attribute outside its declared lock scope
-R010    fork-unsafe state inside multiprocessing worker functions
 R011    a numpy ``Generator`` shared across thread/worker boundaries
 R012    blocking calls while holding a lock/condition
 ======  ==============================================================
@@ -41,7 +40,6 @@ from repro.lint.engine import FileContext, Finding
 __all__ = [
     "CONCURRENCY_RULES",
     "BlockingUnderLockRule",
-    "ForkSafetyRule",
     "GuardedAttributeRule",
     "SharedGeneratorRule",
 ]
@@ -325,111 +323,6 @@ class GuardedAttributeRule(Rule):
             ))
 
 
-class ForkSafetyRule(Rule):
-    """R010: fork workers must be pure functions of pre-fork state + rng."""
-
-    code = "R010"
-    name = "fork-safety"
-    hint = (
-        "fork workers inherit copies of parent state: threading "
-        "primitives do not survive the fork, module-level RNGs replay "
-        "the same stream in every child, and returned values are "
-        "discarded — take a spawned rng parameter and publish results "
-        "through the shared RawArray-backed buffers"
-    )
-
-    _RNG_PREFIXES = ("np.random.", "numpy.random.", "random.")
-    _RNG_FACTORIES = {"default_rng", "as_rng", "spawn_rng", "RandomState"}
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        if not _imports_any(ctx.tree, ("multiprocessing",)):
-            return []
-        module_rngs = self._module_rngs(ctx.tree)
-        findings: List[Finding] = []
-        for worker in self._worker_functions(ctx.tree):
-            self._check_worker(ctx, worker, module_rngs, findings)
-        return findings
-
-    def _module_rngs(self, tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for node in tree.body:
-            if not isinstance(node, ast.Assign) or \
-                    not isinstance(node.value, ast.Call):
-                continue
-            fn = dotted(node.value.func) or ""
-            if any(fn.startswith(p) for p in self._RNG_PREFIXES) or \
-                    fn.split(".")[-1] in self._RNG_FACTORIES:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    @staticmethod
-    def _worker_functions(tree: ast.Module) -> List[ast.AST]:
-        targeted: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and \
-                    (dotted(node.func) or "").endswith("Process"):
-                for keyword in node.keywords:
-                    if keyword.arg == "target" and \
-                            isinstance(keyword.value, ast.Name):
-                        targeted.add(keyword.value.id)
-        workers = []
-        for node in ast.walk(tree):
-            if isinstance(node, _FUNCTION_DEFS) and (
-                    node.name.startswith("_worker") or
-                    node.name.endswith("_worker") or
-                    node.name in targeted):
-                workers.append(node)
-        return workers
-
-    def _check_worker(self, ctx: FileContext, worker: ast.AST,
-                      module_rngs: Set[str], out: List[Finding]) -> None:
-        label = worker.name
-        for node in ast.walk(worker):
-            if isinstance(node, ast.Attribute):
-                name = dotted(node) or ""
-                if name.startswith("threading."):
-                    out.append(self.finding(
-                        ctx, node,
-                        f"worker function '{label}' touches threading "
-                        f"primitive '{name}' (thread state does not "
-                        f"survive fork)",
-                    ))
-            elif isinstance(node, ast.Call):
-                fn = dotted(node.func) or ""
-                if any(fn.startswith(p) for p in self._RNG_PREFIXES):
-                    out.append(self.finding(
-                        ctx, node,
-                        f"module-level RNG call '{fn}()' in worker "
-                        f"function '{label}' (fork replays the same "
-                        f"stream in every child)",
-                    ))
-            elif isinstance(node, ast.Name) and \
-                    isinstance(node.ctx, ast.Load) and node.id in module_rngs:
-                out.append(self.finding(
-                    ctx, node,
-                    f"module-level RNG '{node.id}' used in worker "
-                    f"function '{label}' (fork replays the same stream "
-                    f"in every child)",
-                ))
-        for node in _walk_skipping_lambdas(worker):
-            if node is worker:
-                continue
-            if isinstance(node, _FUNCTION_DEFS):
-                continue
-            if isinstance(node, ast.Return) and node.value is not None and \
-                    not (isinstance(node.value, ast.Constant) and
-                         node.value.value is None):
-                out.append(self.finding(
-                    ctx, node,
-                    f"worker function '{label}' returns a value; fork "
-                    f"worker results are discarded and RawArray-backed "
-                    f"views must not escape — publish through the shared "
-                    f"buffers",
-                ))
-
-
 class SharedGeneratorRule(Rule):
     """R011: one RNG stream per worker, derived via ``spawn_rngs``."""
 
@@ -650,7 +543,6 @@ class BlockingUnderLockRule(Rule):
 
 CONCURRENCY_RULES = (
     GuardedAttributeRule,
-    ForkSafetyRule,
     SharedGeneratorRule,
     BlockingUnderLockRule,
 )

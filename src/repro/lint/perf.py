@@ -3,7 +3,7 @@
 Static counterpart of the runtime allocation sanitizer in
 :mod:`repro.perf.allocations`.  Five dataflow rules cover the numpy
 anti-patterns that silently erode the hot stages BENCH_serving.json and
-BENCH_training.json say dominate wall time:
+BENCH_sampling.json say dominate wall time:
 
 ======  ==============================================================
 R013    array growth inside a loop body (``np.append`` /

@@ -22,8 +22,6 @@ R008    ``Tensor`` op implementations constructing result arrays with a
 R009    mutation of a ``# repro-lint: guarded-by=<lock>`` attribute
         outside a ``with self.<lock>:`` scope (see
         :mod:`repro.lint.concurrency`)
-R010    fork-unsafe state in multiprocessing worker functions (threading
-        primitives, module-level RNGs, returning shared-view results)
 R011    a numpy ``Generator`` shared across thread/worker boundaries
         instead of per-worker ``spawn_rngs`` streams
 R012    blocking calls (``time.sleep``, I/O, ``.join()``) while holding

@@ -51,22 +51,15 @@ class UnigramNegativeSampler:
             self._type_nodes[node_type] = nodes
             self._type_tables[node_type] = AliasTable(weights[nodes])
 
-    def sample(self, size: int, node_type: Optional[str] = None,
-               rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Draw ``size`` node ids, optionally restricted to one node type.
-
-        ``rng`` overrides the sampler's own stream for this call — used by
-        the sharded trainer, whose workers share one sampler's (read-only)
-        alias tables but must each draw from a private stream.
-        """
-        rng = self._rng if rng is None else rng
+    def sample(self, size: int, node_type: Optional[str] = None) -> np.ndarray:
+        """Draw ``size`` node ids, optionally restricted to one node type."""
         if size <= 0:
             raise SamplingError(f"sample size must be positive, got {size}")
         if node_type is None:
-            return self._global_table.sample(size, rng=rng)
+            return self._global_table.sample(size, rng=self._rng)
         if node_type not in self._type_nodes:
             raise SamplingError(f"no nodes of type {node_type!r} to sample")
-        positions = self._type_tables[node_type].sample(size, rng=rng)
+        positions = self._type_tables[node_type].sample(size, rng=self._rng)
         return self._type_nodes[node_type][positions]
 
     #: Rejection-resampling rounds before ``exclude_positive`` gives up.  A
@@ -76,8 +69,7 @@ class UnigramNegativeSampler:
     MAX_EXCLUDE_ROUNDS = 64
 
     def sample_like(self, nodes: np.ndarray, num_negatives: int,
-                    exclude_positive: bool = False,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
+                    exclude_positive: bool = False) -> np.ndarray:
         """For each node, draw ``num_negatives`` negatives of the same type.
 
         Returns shape ``(len(nodes), num_negatives)``.  This is the
@@ -97,14 +89,14 @@ class UnigramNegativeSampler:
             node_type = self.graph.schema.node_types[int(code)]
             mask = codes == code
             count = int(mask.sum()) * num_negatives
-            draws = self.sample(count, node_type=node_type, rng=rng)
+            draws = self.sample(count, node_type=node_type)
             result[mask] = draws.reshape(-1, num_negatives)
         if exclude_positive:
-            self._resample_positives(nodes, result, rng=rng)
+            self._resample_positives(nodes, result)
         return result
 
-    def _resample_positives(self, nodes: np.ndarray, result: np.ndarray,
-                            rng: Optional[np.random.Generator] = None) -> None:
+    def _resample_positives(self, nodes: np.ndarray,
+                            result: np.ndarray) -> None:
         """Redraw (in place) any negative equal to its row's positive."""
         codes = self.graph.node_type_codes[nodes]
         for _ in range(self.MAX_EXCLUDE_ROUNDS):
@@ -117,8 +109,7 @@ class UnigramNegativeSampler:
             for code in np.unique(slot_codes):
                 node_type = self.graph.schema.node_types[int(code)]
                 sel = slot_codes == code
-                draws = self.sample(int(sel.sum()), node_type=node_type,
-                                    rng=rng)
+                draws = self.sample(int(sel.sum()), node_type=node_type)
                 result[rows[sel], cols[sel]] = draws
         bad = np.unique(nodes[np.nonzero(result == nodes[:, None])[0]])
         raise SamplingError(

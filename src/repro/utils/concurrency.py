@@ -1,8 +1,7 @@
 """Runtime lock-discipline sanitizer for the concurrent stack.
 
-The serving service is threaded (:mod:`repro.serving.service`) and the
-skip-gram trainer forks hogwild workers over shared ``RawArray`` views
-(:mod:`repro.train.parallel`).  The static rules in
+The serving service is threaded (:mod:`repro.serving.service`).  The
+static rules in
 :mod:`repro.lint.concurrency` catch lexically-visible discipline
 violations; this module catches the *dynamic* ones the AST cannot see:
 
@@ -21,8 +20,8 @@ violations; this module catches the *dynamic* ones the AST cannot see:
   lock.  Entering the region (``with region:``) while the sanitizer is
   enabled records a finding when the declared guard is not held, or when
   two threads are inside an *unguarded* region at once.  Regions may be
-  registered ``exempt`` — the hogwild embedding tables race by design
-  (Niu et al., 2011) and are annotated as such rather than silenced.
+  registered ``exempt`` — state that races by design (hogwild-style
+  tables, Niu et al., 2011) is annotated as such rather than silenced.
 
 Following the :mod:`repro.nn.sanitizer` contract: **off by default**,
 the only overhead when disabled is a single integer flag test per
@@ -436,8 +435,8 @@ def register_shared_region(
     """Declare (or re-declare) the shared write region ``name``.
 
     Registration is idempotent: re-registering with the same contract
-    returns the existing region so forked trainers and repeated service
-    construction share one writer table per process.
+    returns the existing region so repeated service construction shares
+    one writer table per process.
     """
     with _REGISTRY_MUTEX:
         region = _REGIONS.get(name)

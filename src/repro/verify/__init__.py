@@ -56,7 +56,6 @@ from repro.verify.alloc_oracles import (
     refresh_alloc_budgets,
 )
 from repro.verify.concurrency_oracles import concurrency_oracles
-from repro.verify.parallel_oracles import AUC_TOLERANCE, parallel_oracles
 
 __all__ = [
     "GradCheckCase",
@@ -74,12 +73,10 @@ __all__ = [
     "uncovered_targets",
     "OracleResult",
     "RECALL_TOLERANCE",
-    "AUC_TOLERANCE",
     "alloc_oracles",
     "measure_alloc_stats",
     "refresh_alloc_budgets",
     "concurrency_oracles",
-    "parallel_oracles",
     "format_oracle_table",
     "index_oracles",
     "metric_oracles",

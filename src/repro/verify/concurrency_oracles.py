@@ -1,6 +1,6 @@
 """Differential oracles for the runtime lock-discipline sanitizer.
 
-``repro verify --suite concurrency`` runs five gates, all bit-exact
+``repro verify --suite concurrency`` runs four gates, all bit-exact
 (tolerance 1e-6, observed diff must be 0.0):
 
 - **lock_order_selftest** — a deliberately planted A→B / B→A inversion
@@ -17,9 +17,6 @@
   sequence replayed with the sanitizer off vs on must produce
   bit-identical ids and scores (the wrappers delegate to the same
   ``threading`` primitives; enabling them must not perturb numerics).
-- **sanitizer_bitidentity_training** — a seeded ``workers=1``
-  ``ParallelSkipGramTrainer.fit`` with the sanitizer off vs on must
-  produce bit-identical losses, validation scores and tables.
 """
 
 from __future__ import annotations
@@ -240,49 +237,6 @@ def _service_bitidentity(seed: int) -> OracleResult:
     )
 
 
-def _training_bitidentity(seed: int) -> OracleResult:
-    from repro.datasets import load_dataset, split_edges
-    from repro.train import ParallelSkipGramTrainer, ParallelTrainerConfig
-
-    dataset = load_dataset("taobao", scale=0.25, seed=7)
-    split = split_edges(dataset.graph, rng=8)
-    config = ParallelTrainerConfig(
-        workers=1, dim=8, epochs=2, batch_size=2048, num_walks=1,
-        walk_length=6, window=2,
-    )
-
-    def fit():
-        trainer = ParallelSkipGramTrainer(
-            dataset.all_schemes(), split, config, rng=seed
-        )
-        history = trainer.fit()
-        return history, trainer.state_dict()
-
-    hist_plain, state_plain = fit()
-    reset_concurrency_state()
-    try:
-        with lock_sanitizer():
-            hist_san, state_san = fit()
-    finally:
-        reset_concurrency_state()
-    diff = 0.0
-    if hist_plain.losses != hist_san.losses or \
-            hist_plain.val_scores != hist_san.val_scores or \
-            set(state_plain) != set(state_san):
-        diff = float("inf")
-    else:
-        for name in state_plain:
-            if state_plain[name].size:
-                diff = max(diff, float(np.max(np.abs(
-                    state_plain[name] - state_san[name]
-                ))))
-    return _result(
-        "sanitizer_bitidentity_training", "concurrency", diff,
-        detail=f"workers=1 fit off vs on ({len(hist_plain.losses)} epochs, "
-               "losses+val+tables)",
-    )
-
-
 def concurrency_oracles(seed: int = 0) -> List[OracleResult]:
     """The ``repro verify --suite concurrency`` gate set."""
     return [
@@ -290,5 +244,4 @@ def concurrency_oracles(seed: int = 0) -> List[OracleResult]:
         _write_tracker_selftest(),
         _service_storm(seed),
         _service_bitidentity(seed),
-        _training_bitidentity(seed),
     ]

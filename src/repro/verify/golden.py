@@ -51,9 +51,9 @@ __all__ = [
 GOLDEN_MODELS: Tuple[str, ...] = ("HybridGNN", "DeepWalk", "LINE", "GCN")
 
 #: Benchmark-scale alikes excluded from the default golden grid: even at
-#: the smoke profile they are hundreds of thousands of nodes, and the
-#: sharded trainer they exist for is gated by the ``parallel`` verify
-#: suite and ``benchmarks/bench_training.py`` instead.
+#: the smoke profile they are hundreds of thousands of nodes.  They exist
+#: for the ``perfbench`` training workloads and the step-memory and
+#: op-count tests, which run them at small scales.
 SCALE_BENCH_DATASETS: Tuple[str, ...] = ("taobao-xl",)
 
 DEFAULT_SEED = 0

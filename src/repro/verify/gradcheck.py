@@ -1,7 +1,7 @@
 """Vectorised numeric gradient checking with a case registry.
 
-This engine replaces the per-element loop that used to live in
-:mod:`repro.nn.gradcheck` (which now delegates here).  Three improvements:
+Three features set it apart from a plain per-element central-difference
+loop:
 
 - **relative steps**: central differences use a per-element step
   ``eps * max(1, |x|)``, so parameters far from unit scale (huge embedding

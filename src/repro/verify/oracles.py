@@ -13,7 +13,10 @@ Three oracle families, each reporting a max-abs-diff per component:
   ROC-AUC, threshold-sweep PR-AUC and F1, positional loops for the ranking
   metrics);
 - **model**: losses, attention and normalisation layers against plain numpy
-  transcriptions of the paper's Eqs. 3, 6-10 and 13;
+  transcriptions of the paper's Eqs. 3, 6-10 and 13, and the staged
+  ``SkipGramTrainer.fit`` (sample→batch→update) against the monolithic loop
+  kept as ``SkipGramTrainer._reference_fit`` — losses, validation scores
+  and every final parameter, on identically seeded twin models;
 - **serving**: the batched top-K engine (mask pools, one-fetch tables,
   single-matmul scoring, argpartition extraction) against the scalar
   ``_reference_*`` recommendation paths — top-K lists must match node for
@@ -442,8 +445,63 @@ def _np_attention(h: np.ndarray, attn) -> np.ndarray:
     return _np_softmax(scores, axis=-1) @ v
 
 
+def _history_state_diff(hist_a, hist_b, state_a, state_b) -> float:
+    """0.0 iff histories and parameter states are bit-identical."""
+    if hist_a.losses != hist_b.losses:
+        return float("inf")
+    if hist_a.val_scores != hist_b.val_scores:
+        return float("inf")
+    if set(state_a) != set(state_b):
+        return float("inf")
+    diffs = [
+        float(np.max(np.abs(state_a[name] - state_b[name])))
+        if state_a[name].size
+        else 0.0
+        for name in state_a
+    ]
+    return max(diffs) if diffs else 0.0
+
+
+def _staged_vs_reference(seed: int) -> OracleResult:
+    """Staged ``SkipGramTrainer.fit`` vs the monolithic ``_reference_fit``."""
+    from repro.core import HybridGNN, HybridGNNConfig, SkipGramTrainer, TrainerConfig
+    from repro.datasets import load_dataset, split_edges
+
+    dataset = load_dataset("taobao", scale=0.25, seed=7)
+    model_config = HybridGNNConfig(
+        base_dim=8, edge_dim=4, metapath_fanouts=(3, 2, 2, 2, 2, 2),
+        exploration_fanout=3, exploration_depth=1,
+    )
+    trainer_config = TrainerConfig(
+        epochs=2, batch_size=128, num_walks=1, walk_length=6, window=2,
+        patience=2,
+    )
+
+    def run(method_name: str):
+        split = split_edges(dataset.graph, rng=8)
+        model = HybridGNN(
+            split.train_graph, dataset.all_schemes(), model_config, rng=seed
+        )
+        trainer = SkipGramTrainer(
+            model, dataset.all_schemes(), split, trainer_config,
+            rng=seed + 1,
+        )
+        history = getattr(trainer, method_name)()
+        return history, model.state_dict()
+
+    hist_staged, state_staged = run("fit")
+    hist_ref, state_ref = run("_reference_fit")
+    diff = _history_state_diff(hist_staged, hist_ref, state_staged, state_ref)
+    return _result(
+        "staged_fit_vs_monolith", "trainer", diff,
+        detail="sample→batch→update fit vs pre-refactor _reference_fit "
+               f"({len(hist_ref.losses)} epochs, losses+val+params)",
+    )
+
+
 def model_oracles(seed: int = 0) -> List[OracleResult]:
-    """Losses, attention and layers vs straightforward numpy transcriptions."""
+    """Losses, attention and layers vs straightforward numpy transcriptions,
+    plus the staged trainer vs its monolithic reference loop."""
     from scipy import special
 
     from repro.core.hierarchical_attention import (
@@ -574,6 +632,7 @@ def model_oracles(seed: int = 0) -> List[OracleResult]:
         "y = x W + b vs numpy matmul",
     ))
 
+    results.append(_staged_vs_reference(seed))
     return results
 
 
@@ -850,7 +909,9 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
       list, for every relation;
     - after every accepted feedback between compactions, every relation's
       merged ``view.csr()`` (spliced, not rebuilt) is bit-identical to
-      ``_build_csr`` over ``view.edges()``;
+      ``_build_csr`` over ``view.edges()``; so is each relation's after a
+      planted edge ``(u, u - 1)`` whose two new entries share one old
+      offset;
     - a never-seen node streamed in by feedback is servable immediately
       (cold-start, no restart) and matches the reference;
     - replaying the trace twice on fresh services yields the same result
@@ -863,6 +924,7 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         RecommendService,
         ServiceConfig,
     )
+    from repro.serving.deltas import DeltaGraphView
     from repro.serving.pools import relation_endpoint_types
     from repro.serving.service import ColdStartEmbedder
     from repro.serving.traffic import generate_trace, replay_trace
@@ -997,9 +1059,33 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
             if not reads_match(fast, slow) and not mismatch:
                 read_diff = float("inf")
                 mismatch = f" (first mismatch: {op.op} node {node})"
+    # Planted edges (u, u - 1), u never a source in the relation: u's new
+    # as-source entry and u - 1's new reverse entry land on the same old
+    # offset indptr[u], which the trace's edges never do, so the splice
+    # must order them by owning node.
+    planted_view = DeltaGraphView(base)
+    codes = base.node_type_codes
+    planted = 0
+    for rel in schema.relationships:
+        src, dst = base.edges(rel)
+        type_pairs = set(zip(codes[src].tolist(), codes[dst].tolist()))
+        type_pairs |= {(b, a) for a, b in type_pairs}
+        never_src = np.bincount(src, minlength=base.num_nodes) == 0
+        for u in np.flatnonzero(never_src[1:]) + 1:
+            if (int(codes[u]), int(codes[u - 1])) in type_pairs:
+                planted += planted_view.add_edge(u, u - 1, rel)
+        served = planted_view.csr(rel)
+        rebuilt = MultiplexHeteroGraph._build_csr(
+            planted_view.num_nodes, *planted_view.edges(rel)
+        )
+        if not (
+            np.array_equal(served[0], rebuilt[0])
+            and np.array_equal(served[1], rebuilt[1])
+        ):
+            merged_diff = float("inf")
     if compactions < 3:
         csr_diff = float("inf")
-    if not merged_checks:
+    if not merged_checks or not planted:
         merged_diff = float("inf")
 
     results = [
@@ -1017,7 +1103,7 @@ def service_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
             "merged_csr_bit_identity", "service", merged_diff,
             f"spliced view.csr() vs _build_csr over view.edges() after "
             f"{merged_checks} accepted feedbacks between compactions, all "
-            f"relations",
+            f"relations, and {planted} planted same-offset edges",
         ),
         _result(
             "cold_start_servable", "service", cold_diff,

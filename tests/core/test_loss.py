@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import skip_gram_loss, softplus
 from repro.nn import Embedding, Tensor
-from repro.nn.gradcheck import check_gradients
+from repro.verify.gradcheck import check_gradients
 
 
 class TestSoftplus:

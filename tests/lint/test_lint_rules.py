@@ -5,10 +5,10 @@ flagged, the same snippet silenced with ``# repro-lint: disable=RXXX``,
 and the same finding excluded through a baseline entry.  Negative
 snippets pin down the false-positive boundaries.
 
-The concurrency rules R009-R012 follow the same three-way pattern in
-``test_concurrency_rules.py``, and the perf rules R013-R017 in
+The concurrency rules R009, R011 and R012 follow the same three-way
+pattern in ``test_concurrency_rules.py``, and the perf rules R013-R017 in
 ``test_perf_rules.py``; the metadata test at the bottom of this file
-covers the full 17-rule registry.
+covers the full 16-rule registry.
 """
 
 from __future__ import annotations
@@ -447,10 +447,11 @@ def test_r008_flags_string_dtype_constants():
 
 def test_all_rules_have_stable_metadata():
     rules = all_rules()
-    assert len(rules) == len(RULES) == 17
+    assert len(rules) == len(RULES) == 16
     seen = set()
     for rule in rules:
         assert rule.code.startswith("R") and len(rule.code) == 4
         assert rule.name and rule.hint
         seen.add(rule.code)
-    assert seen == {f"R{i:03d}" for i in range(1, 18)}
+    # R010 is retired; its code is not reused.
+    assert seen == {f"R{i:03d}" for i in range(1, 18)} - {"R010"}

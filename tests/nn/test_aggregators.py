@@ -12,7 +12,7 @@ from repro.nn import (
     Tensor,
     make_aggregator,
 )
-from repro.nn.gradcheck import check_gradients
+from repro.verify.gradcheck import check_gradients
 
 KINDS = ["mean", "pool", "lstm"]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn import Tensor
-from repro.nn.gradcheck import numeric_gradient
+from repro.verify.gradcheck import numeric_gradient
 
 SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4))
 

@@ -15,7 +15,7 @@ from repro.nn import (
     Sequential,
     Tensor,
 )
-from repro.nn.gradcheck import check_gradients
+from repro.verify.gradcheck import check_gradients
 
 
 class TestLinear:

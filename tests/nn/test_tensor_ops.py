@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import AutogradError, ShapeError
 from repro.nn import Tensor, concat, embedding_lookup, sparse_matmul, stack, where
-from repro.nn.gradcheck import check_gradients
+from repro.verify.gradcheck import check_gradients
 
 
 def make(shape, seed=0):

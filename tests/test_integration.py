@@ -32,8 +32,7 @@ MODEL_CONFIG = HybridGNNConfig(
 
 
 # taobao-xl is a benchmark-scale alike (hundreds of thousands of nodes even
-# at small scales); the sharded trainer covers it in tests/train/ and
-# benchmarks/bench_training.py.
+# at small scales); perfbench's training workloads and tests/perf/ cover it.
 @pytest.mark.parametrize(
     "name", [d for d in available_datasets() if d != "taobao-xl"]
 )

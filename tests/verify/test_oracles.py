@@ -37,7 +37,9 @@ class TestSuite:
 
     def test_covers_all_families(self, suite_results):
         components = {r.component for r in suite_results}
-        assert components == {"sampling", "metrics", "model", "serving"}
+        assert components == {
+            "sampling", "metrics", "model", "trainer", "serving"
+        }
 
     def test_walker_equivalence_oracles_are_exact(self, suite_results):
         by_name = {r.name: r for r in suite_results}
