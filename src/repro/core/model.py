@@ -260,11 +260,11 @@ class HybridGNN(Module):
             )
         pieces: List[Tensor] = []
         positions: List[np.ndarray] = []
-        for code in unique_codes:
+        for code in unique_codes.tolist():
             idx = np.flatnonzero(codes == code)
             group_exploration = exploration[idx] if exploration is not None else None
             pieces.append(self._type_embedding(
-                nodes[idx], node_types[int(code)], wanted, group_exploration
+                nodes[idx], node_types[code], wanted, group_exploration
             ))
             positions.append(idx)
         combined = concat(pieces, axis=1)

@@ -74,7 +74,7 @@ _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
 
 #: First-level packages whose stages dominate serving/training time.
-_HOT_PACKAGES = ("nn", "sampling", "serving", "train")
+_HOT_PACKAGES = ("core", "nn", "sampling", "serving")
 
 
 def _is_hot_module(rel_path: str) -> bool:

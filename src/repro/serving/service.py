@@ -10,13 +10,19 @@ router/service split a production recommender backend deploys:
   neighbors) and :meth:`~RecommendService.feedback` (a new interaction,
   streamed into the graph through
   :class:`~repro.serving.deltas.DeltaGraphView`);
-- **request micro-batching** behind a **bounded admission queue**:
-  concurrent single-item requests coalesce into one engine call per
-  (endpoint, relation, k, ...) group, flushed when the group reaches
-  ``max_batch`` or the group leader's ``flush_interval`` deadline passes.
-  When ``max_queue`` requests are already pending, admission fails with
-  the typed :class:`~repro.errors.QueueFullError` — backpressure is an
-  outcome callers count, not a crash;
+- **work-conserving request micro-batching** behind a **bounded
+  admission queue**: concurrent single-item requests coalesce into one
+  engine call per (endpoint, relation, k, ...) group.  An open group is
+  flushed when it reaches ``max_batch``, when its leader's
+  ``flush_interval`` deadline passes, or as soon as no engine call is in
+  flight — a request that finds the executor idle runs at once, and only
+  requests arriving while a batch executes wait to coalesce.  A failing
+  item fails alone: feedback writes are applied one by one, and a read
+  batch that raises is re-run item by item, so every waiter gets its own
+  result or its own error.  When ``max_queue`` requests are already
+  pending, admission fails with the typed
+  :class:`~repro.errors.QueueFullError` — backpressure is an outcome
+  callers count, not a crash;
 - **cold-start ingestion**: a feedback naming a never-seen endpoint
   registers the node first, its type resolved by the schema-level
   endpoint-type inference (:func:`~repro.serving.pools
@@ -44,11 +50,11 @@ contract"): admission/batching state is guarded by ``_cond``, the graph
 view by ``_exec_lock`` — the ``guarded-by`` annotations below drive lint
 rule R009, and both locks are :mod:`repro.utils.concurrency` checked
 primitives feeding the opt-in runtime lock-order sanitizer.  The two
-locks are deliberately never nested: ``_drive`` releases ``_cond``
-before ``_execute`` takes ``_exec_lock``, and the short ``_cond``
-section inside ``_execute`` runs before the execution lock is acquired,
-so the acquisition-order graph stays edge-free and deadlock-free by
-construction.
+locks are deliberately never nested: ``_drive`` pops due batches, bumps
+the in-flight and batch counters under ``_cond`` and releases it before
+``_execute`` takes ``_exec_lock``, and ``_execute`` never takes
+``_cond``, so the acquisition-order graph stays edge-free and
+deadlock-free by construction.
 """
 
 from __future__ import annotations
@@ -89,9 +95,12 @@ _ENDPOINT_WINDOW = 16384
 class ServiceConfig:
     """Tunables of the request layer.
 
+    ``flush_interval`` bounds how long an open batch may wait for
+    co-batchers while another engine call runs; a batch opened while the
+    executor is idle flushes at once whatever its value.
     ``flush_interval=0`` makes every request flush immediately after
-    admission — the synchronous mode used by single-threaded drivers
-    (oracles, trace replays) where waiting for co-batching wastes time.
+    admission, even behind a running call — the synchronous mode used by
+    single-threaded drivers (oracles, trace replays).
     ``compaction_threshold`` is forwarded to the delta view (0 disables
     automatic folds).
     """
@@ -276,6 +285,9 @@ class RecommendService:
         self._ripe: Dict[tuple, List[List[_Pending]]] = {}  # repro-lint: guarded-by=_cond
         self._pending_total = 0  # repro-lint: guarded-by=_cond
         self._queue_high_water = 0  # repro-lint: guarded-by=_cond
+        # Flushes popped by _drive and not yet marked done: while it is
+        # zero no engine call runs, so an open batch is due at once.
+        self._inflight = 0  # repro-lint: guarded-by=_cond
         self._exec_lock = checked_rlock("service._exec_lock")
         # Write-tracker region for the counters above: writes are
         # bracketed so the runtime sanitizer can flag any future path
@@ -422,13 +434,17 @@ class RecommendService:
             stats.requests += len(requests)
         return requests
 
-    def _take_due_batches(self, key: tuple, now: float) -> List[tuple]:  # repro-lint: holds=_cond
-        """Pop every batch of ``key`` that is full or past deadline."""
-        due = [(key, items) for items in self._ripe.pop(key, [])]
+    def _take_due_batches(self, key: tuple, now: float) -> List[List[_Pending]]:  # repro-lint: holds=_cond
+        """Pop every batch of ``key`` that is due.
+
+        A batch is due when it is full, when its deadline has passed, or
+        when no engine call is in flight (work conservation).
+        """
+        due = self._ripe.pop(key, [])
         batch = self._batches.get(key)
-        if batch is not None and now >= batch.deadline:
+        if batch is not None and (now >= batch.deadline or not self._inflight):
             del self._batches[key]
-            due.append((key, batch.items))
+            due.append(batch.items)
         return due
 
     def _submit(self, key: tuple, payload):
@@ -453,15 +469,18 @@ class RecommendService:
     def _drive(self, key: tuple, requests: List[_Pending]) -> None:
         """Block until every request is flushed, leading when it's our turn.
 
-        The requester that opened a batch (the *leader*) waits out the
-        flush interval and then executes it; a requester that fills a
-        batch to ``max_batch`` flushes it immediately; followers just
-        wait.  Execution happens outside the admission lock, serialised
-        by the service-wide execution lock.
+        Any requester that finds a due batch of its key (see
+        :meth:`_take_due_batches`) executes it: at once when no engine
+        call is in flight, or when it fills a batch to ``max_batch``.
+        Otherwise the requester that opened the open batch (the
+        *leader*) sleeps until its deadline, and followers just wait;
+        both wake on the ``notify_all`` that ends every flush, so the
+        open batch runs as soon as the executor goes idle.  Execution
+        happens outside the admission lock, serialised by the
+        service-wide execution lock.
         """
         own = set(map(id, requests))
         while True:
-            to_flush: List[tuple] = []
             with self._cond:
                 pending = [r for r in requests if not r.done]
                 if not pending:
@@ -478,63 +497,82 @@ class RecommendService:
                         # Follower: wake on any flush completion.
                         self._cond.wait(0.05)
                     continue
-            for flush_key, items in to_flush:
-                self._execute(flush_key, items)
-            with self._cond:
-                self._pending_total -= sum(len(items) for _, items in to_flush)
-                for _, items in to_flush:
-                    for item in items:
-                        item.done = True
-                self._cond.notify_all()
+                self._inflight += len(to_flush)
+                with self._stats_region:
+                    self.endpoint_stats[key[0]].batches += len(to_flush)
+            try:
+                for items in to_flush:
+                    self._execute(key, items)
+            finally:
+                with self._cond:
+                    self._inflight -= len(to_flush)
+                    self._pending_total -= sum(map(len, to_flush))
+                    for items in to_flush:
+                        for item in items:
+                            item.done = True
+                    self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Batch execution (one engine call per flush)
+    # Batch execution (one engine call per flush; per item on failure)
     # ------------------------------------------------------------------
     def _execute(self, key: tuple, items: List[_Pending]) -> None:
         endpoint = key[0]
-        # Counter write under _cond (and before _exec_lock is taken, so
-        # the two locks are never nested).  This increment used to run
-        # with no lock at all and could be lost under concurrent
-        # flushes — the exact bug class R009 exists to catch.
-        with self._cond:
-            with self._stats_region:
-                self.endpoint_stats[endpoint].batches += 1
         try:
             with self._exec_lock:
                 with self.profiler.stage(f"service.{endpoint}"):
-                    if endpoint == "recommend":
-                        _, relation, k, target_type, exclude_known = key
-                        sources = [item.payload for item in items]
-                        # Execution-epoch revalidation (see _check_read).
-                        self._check_node_ids(sources)
-                        results = self.engine.topk_batch(
-                            sources, relation, k, target_type, exclude_known
-                        )
-                        for item, result in zip(items, results):
-                            item.result = result
-                    elif endpoint == "similar":
-                        _, relation, k = key
-                        nodes = [item.payload for item in items]
-                        self._check_node_ids(nodes)
-                        results = self.engine.similar_topk(nodes, relation, k)
-                        for item, result in zip(items, results):
-                            item.result = result
+                    if endpoint == "feedback":
+                        self._execute_feedback(key[1], items)
                     else:
-                        _, relation = key
-                        for item in items:
-                            item.result = self._apply_feedback(
-                                relation, *item.payload
-                            )
-                        if self.view.should_compact():
-                            with self.profiler.stage("service.compaction"):
-                                self.view.compact()
-                            for item in items:
-                                item.result["compacted"] = True
-                                item.result["version"] = self.view.version
-        except BaseException as error:  # surfaced on every waiter
+                        self._execute_reads(key, items)
+        except BaseException as error:  # surfaced on every unserved waiter
             for item in items:
-                if item.result is None:
+                if item.result is None and item.error is None:
                     item.error = error
+
+    def _read(self, key: tuple, payloads: list) -> list:  # repro-lint: holds=_exec_lock
+        """One engine call for a read batch's payloads."""
+        # Execution-epoch revalidation (see _check_read).
+        self._check_node_ids(payloads)
+        if key[0] == "recommend":
+            _, relation, k, target_type, exclude_known = key
+            return self.engine.topk_batch(
+                payloads, relation, k, target_type, exclude_known
+            )
+        _, relation, k = key
+        return self.engine.similar_topk(payloads, relation, k)
+
+    def _execute_reads(self, key: tuple, items: List[_Pending]) -> None:  # repro-lint: holds=_exec_lock
+        try:
+            results = self._read(key, [item.payload for item in items])
+        except Exception:
+            if len(items) == 1:
+                raise
+            # One bad item must not fail its neighbours: re-run each alone
+            # so every waiter gets its own result or its own error.
+            for item in items:
+                try:
+                    item.result = self._read(key, [item.payload])[0]
+                except Exception as error:
+                    item.error = error
+            return
+        for item, result in zip(items, results):
+            item.result = result
+
+    def _execute_feedback(self, relation: str, items: List[_Pending]) -> None:  # repro-lint: holds=_exec_lock
+        # Each write stands alone: a failing one (a self-loop, a non-dense
+        # id) reports its own error and the writes after it still apply.
+        for item in items:
+            try:
+                item.result = self._apply_feedback(relation, *item.payload)
+            except Exception as error:
+                item.error = error
+        if self.view.should_compact():
+            with self.profiler.stage("service.compaction"):
+                self.view.compact()
+            for item in items:
+                if item.result is not None:
+                    item.result["compacted"] = True
+                    item.result["version"] = self.view.version
 
     # ------------------------------------------------------------------
     # Feedback application + cold-start registration

@@ -19,9 +19,7 @@ violations; this module catches the *dynamic* ones the AST cannot see:
   a named shared-memory write region with an optional declared guard
   lock.  Entering the region (``with region:``) while the sanitizer is
   enabled records a finding when the declared guard is not held, or when
-  two threads are inside an *unguarded* region at once.  Regions may be
-  registered ``exempt`` — state that races by design (hogwild-style
-  tables, Niu et al., 2011) is annotated as such rather than silenced.
+  two threads are inside an *unguarded* region at once.
 
 Following the :mod:`repro.nn.sanitizer` contract: **off by default**,
 the only overhead when disabled is a single integer flag test per
@@ -370,23 +368,21 @@ class SharedRegion:
     raised, so a storm test can finish and report every distinct finding.
     """
 
-    __slots__ = ("name", "guard", "exempt", "reason", "_writers")
+    __slots__ = ("name", "guard", "reason", "_writers")
 
     def __init__(
         self,
         name: str,
         guard: Optional[str] = None,
-        exempt: bool = False,
         reason: str = "",
     ) -> None:
         self.name = name
         self.guard = guard
-        self.exempt = exempt
         self.reason = reason
         self._writers: Dict[int, int] = {}
 
     def __enter__(self) -> "SharedRegion":
-        if not STATE.enabled or self.exempt:
+        if not STATE.enabled:
             return self
         if self.guard is not None and self.guard not in held_locks():
             _record_finding(
@@ -409,8 +405,6 @@ class SharedRegion:
         return self
 
     def __exit__(self, *exc) -> bool:
-        if self.exempt:
-            return False
         ident = threading.get_ident()
         with _REGISTRY_MUTEX:
             depth = self._writers.get(ident, 0) - 1
@@ -421,15 +415,13 @@ class SharedRegion:
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = "exempt" if self.exempt else f"guard={self.guard!r}"
-        return f"SharedRegion({self.name!r}, {flags})"
+        return f"SharedRegion({self.name!r}, guard={self.guard!r})"
 
 
 def register_shared_region(
     name: str,
     *,
     guard: Optional[str] = None,
-    exempt: bool = False,
     reason: str = "",
 ) -> SharedRegion:
     """Declare (or re-declare) the shared write region ``name``.
@@ -440,8 +432,8 @@ def register_shared_region(
     """
     with _REGISTRY_MUTEX:
         region = _REGIONS.get(name)
-        if region is None or (region.guard, region.exempt) != (guard, exempt):
-            region = SharedRegion(name, guard=guard, exempt=exempt, reason=reason)
+        if region is None or region.guard != guard:
+            region = SharedRegion(name, guard=guard, reason=reason)
             _REGIONS[name] = region
         return region
 

@@ -8,8 +8,7 @@
   self-acquire must raise too.  The miswired-canary idiom: a sanitizer
   that cannot catch a planted bug proves nothing by passing elsewhere.
 - **write_tracker_selftest** — a planted unguarded concurrent write and
-  a planted guard-not-held write must each be flagged, while an exempt
-  (hogwild-style) region under the same interleaving must stay silent.
+  a planted guard-not-held write must each be flagged.
 - **service_storm_zero_findings** — the mixed read/write/compaction
   thread storm from the serving suite, run with the sanitizer enabled:
   zero findings, zero lock-order errors, queue drained.
@@ -100,14 +99,11 @@ def _lock_order_selftest() -> OracleResult:
 
 
 def _write_tracker_selftest() -> OracleResult:
-    """Planted violations flagged; exempt hogwild-style region silent."""
+    """Planted unguarded-concurrent and guard-not-held writes flagged."""
     reset_concurrency_state()
     racy = register_shared_region("selftest.racy")
     guarded = register_shared_region(
         "selftest.guarded", guard="selftest.guard-lock"
-    )
-    exempt = register_shared_region(
-        "selftest.exempt", exempt=True, reason="hogwild-style by design"
     )
     barrier = threading.Barrier(2, timeout=10.0)
 
@@ -127,7 +123,6 @@ def _write_tracker_selftest() -> OracleResult:
             overlap(racy)
             with guarded:
                 pass
-            overlap(exempt)
             kinds = {(f.kind, f.region) for f in concurrency_findings()}
     finally:
         reset_concurrency_state()
@@ -135,13 +130,11 @@ def _write_tracker_selftest() -> OracleResult:
         ("concurrent-write", "selftest.racy"),
         ("unguarded-write", "selftest.guarded"),
     }
-    ok = expected <= kinds and not any(
-        region == "selftest.exempt" for _, region in kinds
-    )
+    ok = expected <= kinds
     return _result(
         "write_tracker_selftest", "concurrency",
         0.0 if ok else float("inf"),
-        detail=f"flagged {sorted(kinds)}; exempt region silent",
+        detail=f"flagged {sorted(kinds)}",
     )
 
 

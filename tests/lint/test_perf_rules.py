@@ -101,7 +101,7 @@ POSITIVE = [
     ),
     (
         "R014",
-        "train/casts.py",
+        "core/casts.py",
         """\
         import numpy as np
 
@@ -156,7 +156,7 @@ POSITIVE = [
     ),
     (
         "R015",
-        "train/iterate.py",
+        "core/iterate.py",
         """\
         import numpy as np
 
@@ -301,7 +301,7 @@ def test_r014_intended_dtype_marker_is_honored():
         def promote(x):
             return x.astype(np.float64)  # repro-lint: intended-dtype=float64
         """,
-        "train/casts.py",
+        "core/casts.py",
     )
     assert "R014" not in codes(found)
 
@@ -335,6 +335,9 @@ def test_r014_r015_only_apply_to_hot_modules():
     assert "R014" not in codes(found)
     assert "R015" not in codes(found)
     found, _ = findings_for(source, "sampling/walker.py")
+    assert "R015" in codes(found)
+    # core/ runs the HybridGNN training step.
+    found, _ = findings_for(source, "core/model.py")
     assert "R015" in codes(found)
 
 

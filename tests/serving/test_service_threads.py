@@ -10,6 +10,8 @@ per-write-prefix snapshots.
 
 from __future__ import annotations
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 
 from repro.check.state import delta_findings
 from repro.core.persistence import EmbeddingStore
-from repro.errors import QueueFullError
+from repro.errors import QueueFullError, ServiceError
 from repro.graph import GraphBuilder, GraphSchema
 from repro.serving import BatchServingEngine, RecommendService, ServiceConfig
 from repro.serving.service import ColdStartEmbedder
@@ -251,3 +253,141 @@ def test_sanitized_storm_compaction_vs_batch_reads():
         for ids, scores in service.recommend_many([0, 1, 2], "view", k=3)
     ]
     assert after == expected
+
+
+# ----------------------------------------------------------------------
+# Work-conserving flushes and per-item failure
+# ----------------------------------------------------------------------
+def gate_topk(service, poison=()):
+    """Hold the first ``engine.topk_batch`` call until ``release`` is set.
+
+    Returns ``(entered, release)``: ``entered`` is set once the first call
+    runs, so the test knows an engine call is in flight.  A batch naming a
+    source in ``poison`` raises, standing in for any per-item failure.
+    """
+    entered, release = threading.Event(), threading.Event()
+    real = service.engine.topk_batch
+
+    def gated(sources, *args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10.0)
+        if any(source in poison for source in sources):
+            raise ServiceError(f"poisoned source in {list(sources)}")
+        return real(sources, *args, **kwargs)
+
+    service.engine.topk_batch = gated
+    return entered, release
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def test_lone_request_does_not_wait_out_the_flush_interval():
+    """With the executor idle, a request's batch flushes at once."""
+    service = make_service(flush_interval=5.0)
+    start = time.perf_counter()
+    ids, scores = service.recommend(0, "view", k=3)
+    assert time.perf_counter() - start < 1.0
+    assert len(ids) == len(scores) > 0
+
+
+def test_requests_behind_a_running_call_coalesce_into_one_batch():
+    """Requests admitted during an engine call run together right after it."""
+    service = make_service(flush_interval=5.0)
+    entered, release = gate_topk(service)
+    sources = [1, 2, 0, 1]
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=len(sources) + 1) as pool:
+        first = pool.submit(service.recommend, 0, "view", 3)
+        assert entered.wait(10.0)
+        futures = [
+            pool.submit(service.recommend, source, "view", 3)
+            for source in sources
+        ]
+        wait_until(lambda: service.queue_depth == len(sources) + 1)
+        release.set()
+        results = [future.result(10.0) for future in futures]
+        first.result(10.0)
+    assert time.perf_counter() - start < 2.5
+    assert service.endpoint_stats["recommend"].batches == 2
+    assert service.queue_depth == 0
+    for source, (ids, scores) in zip(sources, results):
+        want_ids, want_scores = service.engine.topk_batch([source], "view", 3)[0]
+        assert ids.tolist() == want_ids.tolist()
+        np.testing.assert_allclose(scores, want_scores, rtol=1e-12)
+
+
+def test_zero_flush_interval_never_coalesces_separate_requests():
+    """``flush_interval=0`` flushes each request alone, even behind a call."""
+    service = make_service(flush_interval=0.0)
+    entered, release = gate_topk(service)
+    stats = service.endpoint_stats["recommend"]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(service.recommend, 0, "view", 3)]
+        assert entered.wait(10.0)
+        for source in (1, 2, 0):
+            expected = stats.batches + 1
+            futures.append(pool.submit(service.recommend, source, "view", 3))
+            # Its own batch was popped before the next request is admitted.
+            wait_until(lambda: stats.batches == expected)
+        release.set()
+        for future in futures:
+            future.result(10.0)
+    assert stats.batches == stats.requests == 4
+
+
+def test_failing_read_in_a_coalesced_batch_fails_alone():
+    """The batch is re-run per item: neighbours still get their results."""
+    service = make_service(flush_interval=5.0)
+    entered, release = gate_topk(service, poison={1})
+    sources = [0, 1, 2]
+    with ThreadPoolExecutor(max_workers=len(sources) + 1) as pool:
+        first = pool.submit(service.recommend, 2, "view", 3)
+        assert entered.wait(10.0)
+        futures = {
+            source: pool.submit(service.recommend, source, "view", 3)
+            for source in sources
+        }
+        wait_until(lambda: service.queue_depth == len(sources) + 1)
+        release.set()
+        first.result(10.0)
+        with pytest.raises(ServiceError, match="poisoned"):
+            futures[1].result(10.0)
+        for source in (0, 2):
+            ids, scores = futures[source].result(10.0)
+            want_ids, want_scores = service.engine.topk_batch(
+                [source], "view", 3
+            )[0]
+            assert ids.tolist() == want_ids.tolist()
+            assert scores.tolist() == want_scores.tolist()
+    assert service.endpoint_stats["recommend"].batches == 2
+
+
+def test_failing_feedback_in_a_coalesced_batch_fails_alone():
+    """A self-loop reports its own error; the writes after it still apply."""
+    service = make_service(flush_interval=5.0, compaction_threshold=0)
+    entered, release = gate_topk(service)
+    edges = [(0, 5), (3, 3), (2, 3)]
+    with ThreadPoolExecutor(max_workers=len(edges) + 1) as pool:
+        first = pool.submit(service.recommend, 0, "view", 3)
+        assert entered.wait(10.0)
+        futures = []
+        for u, v in edges:
+            # One at a time, so the batch keeps this order.
+            futures.append(pool.submit(service.feedback, u, v, "view"))
+            wait_until(lambda: service.queue_depth == len(futures) + 1)
+        release.set()
+        first.result(10.0)
+        with pytest.raises(ServiceError, match="itself"):
+            futures[1].result(10.0)
+        for future in (futures[0], futures[2]):
+            assert future.result(10.0)["accepted"] is True
+    assert service.endpoint_stats["feedback"].batches == 1
+    assert service.view.has_edge(0, 5, "view")
+    assert service.view.has_edge(2, 3, "view")
+    assert not service.view.has_edge(3, 3, "view")

@@ -3,7 +3,7 @@
 Covers the :mod:`repro.utils.concurrency` contract: off by default,
 order-graph recording and cycle detection, reentrancy semantics,
 condition ``wait`` bookkeeping, and the shared-region write tracker
-(guarded / unguarded-concurrent / exempt / unregistered).
+(guarded / unguarded-concurrent / unregistered).
 """
 
 from __future__ import annotations
@@ -188,27 +188,6 @@ def test_unguarded_region_flags_concurrent_writers():
     assert ("concurrent-write", "reg.racy") in kinds
 
 
-def test_exempt_region_stays_silent_and_keeps_its_reason():
-    region = register_shared_region(
-        "reg.hogwild", exempt=True, reason="races by design"
-    )
-    barrier = threading.Barrier(2, timeout=10.0)
-
-    def writer():
-        with region:
-            barrier.wait()
-            barrier.wait()
-
-    with lock_sanitizer():
-        threads = [threading.Thread(target=writer) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert concurrency_findings() == []
-    assert region.reason == "races by design"
-
-
 def test_shared_write_on_unregistered_name_is_a_finding():
     with lock_sanitizer():
         with shared_write("reg.undeclared"):
@@ -233,7 +212,7 @@ def test_register_shared_region_is_idempotent_until_contract_changes():
     first = register_shared_region("reg.same", guard="reg.guard")
     again = register_shared_region("reg.same", guard="reg.guard")
     assert again is first
-    changed = register_shared_region("reg.same", exempt=True)
+    changed = register_shared_region("reg.same", guard="reg.other")
     assert changed is not first
 
 
