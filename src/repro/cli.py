@@ -530,8 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=32)
     p.add_argument("--flush-interval", type=float, default=0.0,
                    help="longest a micro-batch waits for co-batchers "
-                        "while an engine call runs, in seconds; an idle "
-                        "executor flushes at once (0 = synchronous)")
+                        "while a feedback batch runs, in seconds; with no "
+                        "write in flight it flushes at once "
+                        "(0 = synchronous)")
     p.add_argument("--max-queue", type=int, default=256)
     p.add_argument("--compaction-threshold", type=int, default=512)
     p.add_argument("--report", default="", help="path for a JSON report")

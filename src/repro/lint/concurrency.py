@@ -23,6 +23,13 @@ R009 is driven by two in-source annotations:
   that every caller of that helper already holds the listed locks (the
   classic "caller must hold" docstring contract, made machine-readable).
 
+A readers-writer lock (:class:`repro.utils.concurrency.CheckedRWLock`)
+is held through ``with self.<lock>.exclusive():``, which counts as
+holding ``<lock>``, or ``with self.<lock>.shared():``, which does not: a
+shared holder runs beside other shared holders, so a guarded attribute
+mutated there is still a finding.  A helper called with only the shared
+side held is marked ``holds=<lock>:shared``.
+
 The rules are lexical: they track ``with`` nesting and simple local
 aliases (``stats = self.endpoint_stats[k]``), not inter-procedural
 data flow.  The runtime sanitizer covers what they cannot see.
@@ -45,7 +52,10 @@ __all__ = [
 ]
 
 _GUARD_RE = re.compile(r"#\s*repro-lint:\s*guarded-by=([A-Za-z0-9_.:-]+)")
-_HOLDS_RE = re.compile(r"#\s*repro-lint:\s*holds=([A-Za-z0-9_,\s]+)")
+_HOLDS_RE = re.compile(r"#\s*repro-lint:\s*holds=([A-Za-z0-9_:,\s]+)")
+
+#: Methods of a readers-writer lock whose context manager holds one side.
+_RW_SIDES = ("shared", "exclusive")
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -81,6 +91,19 @@ def _imports_any(tree: ast.AST, modules: Tuple[str, ...]) -> bool:
     return False
 
 
+def _with_lock(expr: ast.AST) -> Tuple[Optional[str], bool]:
+    """``(dotted lock name, shared?)`` of one ``with`` item's expression.
+
+    ``self._lock`` and ``self._rw.exclusive()`` hold their lock;
+    ``self._rw.shared()`` holds ``self._rw`` on its shared side.
+    """
+    if isinstance(expr, ast.Call) and not expr.args and not expr.keywords \
+            and isinstance(expr.func, ast.Attribute) \
+            and expr.func.attr in _RW_SIDES:
+        return dotted(expr.func.value), expr.func.attr == "shared"
+    return dotted(expr), False
+
+
 def _walk_skipping_lambdas(node: ast.AST):
     """``ast.walk`` that does not descend into lambdas / nested defs.
 
@@ -104,7 +127,8 @@ class GuardedAttributeRule(Rule):
     code = "R009"
     name = "guarded-attribute"
     hint = (
-        "mutate the attribute inside `with self.<lock>:`, or mark the "
+        "mutate the attribute inside `with self.<lock>:` (a readers-writer "
+        "lock: `with self.<lock>.exclusive():`), or mark the "
         "helper `# repro-lint: holds=<lock>` when every caller already "
         "holds it; externally-serialised state (guarded-by=external:...) "
         "is carried in the lint baseline with its justification"
@@ -164,9 +188,13 @@ class GuardedAttributeRule(Rule):
 
     @staticmethod
     def _lock_attr(expr: ast.AST) -> Optional[str]:
-        name = dotted(expr)
+        """The held-set token of a ``with`` item: ``<lock>`` or
+        ``<lock>:shared``."""
+        name, shared = _with_lock(expr)
         if name and name.startswith("self."):
-            return name[len("self."):]
+            name = name[len("self."):]
+        if name and shared:
+            return f"{name}:shared"
         return name
 
     def _guarded_root(self, node: ast.AST, guard_map: Dict[str, str],
@@ -315,6 +343,12 @@ class GuardedAttributeRule(Rule):
                 f"externally-serialised attribute 'self.{attr}' mutated in "
                 f"{where} (guarded-by={lock})",
             ))
+        elif lock not in held and f"{lock}:shared" in held:
+            out.append(self.finding(
+                ctx, node,
+                f"guarded attribute 'self.{attr}' mutated holding only the "
+                f"shared side of 'self.{lock}' in {where}",
+            ))
         elif lock not in held:
             out.append(self.finding(
                 ctx, node,
@@ -454,7 +488,7 @@ class BlockingUnderLockRule(Rule):
     def _lock_names(self, items: List[ast.withitem]) -> Set[str]:
         names = set()
         for item in items:
-            name = dotted(item.context_expr)
+            name, _ = _with_lock(item.context_expr)
             if name and self._LOCKISH.search(name.split(".")[-1]):
                 names.add(name)
         return names

@@ -28,6 +28,8 @@ import time
 from collections import deque
 from typing import Deque, Dict, Optional
 
+from repro.utils.concurrency import checked_lock, register_shared_region
+
 #: The installed stage listener, or None.  A listener is any object with
 #: ``stage_enter(name)`` / ``stage_exit(name)`` methods; it sees every
 #: activation of every StageProfiler in the process.
@@ -108,32 +110,45 @@ class _StageScope:
 
 
 class StageProfiler:
-    """Accumulates wall time per named stage across repeated activations."""
+    """Accumulates wall time per named stage across repeated activations.
+
+    One profiler may be shared by threads (a service's concurrent reads
+    all record into it): every access to the totals takes ``_lock``.
+    """
 
     def __init__(self):
-        self._seconds: Dict[str, float] = {}
-        self._calls: Dict[str, int] = {}
-        self._samples: Dict[str, Deque[float]] = {}
+        self._lock = checked_lock("perf.profiler._lock")
+        self._region = register_shared_region(
+            "perf.profiler", guard="perf.profiler._lock",
+            reason="stage totals and sample windows, recorded by every "
+                   "thread that shares the profiler",
+        )
+        self._seconds: Dict[str, float] = {}  # repro-lint: guarded-by=_lock
+        self._calls: Dict[str, int] = {}  # repro-lint: guarded-by=_lock
+        self._samples: Dict[str, Deque[float]] = {}  # repro-lint: guarded-by=_lock
 
     def stage(self, name: str) -> _StageScope:
         """A context manager adding its wall time to stage ``name``."""
         return _StageScope(self, name)
 
     def _record(self, name: str, seconds: float) -> None:
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-        self._calls[name] = self._calls.get(name, 0) + 1
-        if name not in self._samples:
-            self._samples[name] = deque(maxlen=_SAMPLE_WINDOW)
-        self._samples[name].append(seconds)
+        with self._lock, self._region:
+            self._seconds[name] = self._seconds.get(name, 0.0) + seconds
+            self._calls[name] = self._calls.get(name, 0) + 1
+            if name not in self._samples:
+                self._samples[name] = deque(maxlen=_SAMPLE_WINDOW)
+            self._samples[name].append(seconds)
 
     # ------------------------------------------------------------------
     def seconds(self, name: str) -> float:
         """Total accumulated seconds for stage ``name`` (0.0 if never run)."""
-        return self._seconds.get(name, 0.0)
+        with self._lock:
+            return self._seconds.get(name, 0.0)
 
     def total(self) -> float:
         """Sum of all stages' accumulated seconds."""
-        return sum(self._seconds.values())
+        with self._lock:
+            return sum(self._seconds.values())
 
     def percentiles(self, name: str) -> Dict[str, float]:
         """``{"p50_ms", "p95_ms", "p99_ms"}`` over the stage's recent window.
@@ -141,7 +156,13 @@ class StageProfiler:
         Percentiles are per *activation*, in milliseconds; an unknown stage
         reads all-zero.
         """
-        ordered = sorted(self._samples.get(name, ()))
+        with self._lock:
+            samples = list(self._samples.get(name, ()))
+        return self._tails(samples)
+
+    @staticmethod
+    def _tails(samples) -> Dict[str, float]:
+        ordered = sorted(samples)
         return {
             "p50_ms": 1000.0 * _percentile(ordered, 0.50),
             "p95_ms": 1000.0 * _percentile(ordered, 0.95),
@@ -156,15 +177,20 @@ class StageProfiler:
         at all) and the per-activation ``p50_ms``/``p95_ms``/``p99_ms``
         percentiles over the stage's recent sample window.
         """
-        total = self.total()
+        with self._lock:
+            seconds = dict(self._seconds)
+            calls = dict(self._calls)
+            samples = {name: list(window)
+                       for name, window in self._samples.items()}
+        total = sum(seconds.values())
         return {
             name: {
-                "seconds": self._seconds[name],
-                "calls": self._calls[name],
-                "fraction": self._seconds[name] / total if total > 0 else 0.0,
-                **self.percentiles(name),
+                "seconds": spent,
+                "calls": calls[name],
+                "fraction": spent / total if total > 0 else 0.0,
+                **self._tails(samples[name]),
             }
-            for name in self._seconds
+            for name, spent in seconds.items()
         }
 
     def summary(self) -> str:
@@ -181,6 +207,7 @@ class StageProfiler:
         )
 
     def reset(self) -> None:
-        self._seconds.clear()
-        self._calls.clear()
-        self._samples.clear()
+        with self._lock, self._region:
+            self._seconds.clear()
+            self._calls.clear()
+            self._samples.clear()

@@ -50,9 +50,13 @@ invalidation — which cascades to resident
 :class:`~repro.serving.index.VectorIndex` entries via the cache's
 listener chain — exactly once per fold.
 
-The view itself is **not** synchronised; the request layer
-(:class:`repro.serving.service.RecommendService`) serialises mutation and
-read epochs around it.
+Reads may run on several threads at once, but a mutation (``add_node``,
+``add_edge``, ``compact``) must not run beside any other call: the
+request layer (:class:`repro.serving.service.RecommendService`) runs
+writes under the exclusive side of its execution lock and reads under the
+shared side.  The one thing reads write, the lazily spliced merged CSR,
+has its own lock, ``_csr_lock``; the merged node-type codes are rebuilt
+eagerly by the writes that change them.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ import numpy as np
 
 from repro.errors import GraphError, SchemaError
 from repro.graph.multiplex import MultiplexHeteroGraph
+from repro.utils.concurrency import checked_lock, register_shared_region
 
 __all__ = [
     "EdgeDeltaBuffer",
@@ -145,14 +150,14 @@ class DeltaGraphView:
             for relation in base.schema.relationships
         }
         self._new_type_codes: List[int] = []
-        # The merged-CSR cache is deliberately unsynchronised: the view
-        # owns no lock, and RecommendService serialises every reader and
-        # writer behind its _exec_lock (DESIGN.md lock-discipline
-        # contract).  The external: guard makes R009 surface every
-        # mutation site; the sanctioned ones are carried in the lint
-        # baseline with that justification.
-        self._merged_csr: Dict[str, _MergedCSR] = {}  # repro-lint: guarded-by=external:RecommendService._exec_lock
-        self._type_codes_cache: Optional[np.ndarray] = None
+        self._csr_lock = checked_lock("deltas._csr_lock")
+        self._csr_region = register_shared_region(
+            "deltas.merged_csr", guard="deltas._csr_lock",
+            reason="per-relation merged CSR, spliced lazily by concurrent "
+                   "reads",
+        )
+        self._merged_csr: Dict[str, _MergedCSR] = {}  # repro-lint: guarded-by=_csr_lock
+        self._type_codes = self._merge_type_codes()
         self.version = 0        # bumps on every accepted mutation
         self.compactions = 0    # completed folds
         self.edges_ingested = 0
@@ -191,16 +196,16 @@ class DeltaGraphView:
     @property
     def node_type_codes(self) -> np.ndarray:
         """int array: node id -> node-type index (read-only, merged)."""
-        if self._type_codes_cache is None:
-            merged = np.concatenate([
-                self.base.node_type_codes,
-                np.asarray(self._new_type_codes, dtype=np.int64),
-            ]) if self._new_type_codes else np.asarray(
-                self.base.node_type_codes
-            )
-            merged.flags.writeable = False
-            self._type_codes_cache = merged
-        return self._type_codes_cache
+        return self._type_codes
+
+    def _merge_type_codes(self) -> np.ndarray:
+        """Base codes plus the codes of nodes added since the last fold."""
+        merged = np.concatenate([
+            self.base.node_type_codes,
+            np.asarray(self._new_type_codes, dtype=np.int64),
+        ]) if self._new_type_codes else np.asarray(self.base.node_type_codes)
+        merged.flags.writeable = False
+        return merged
 
     def node_type(self, node: int) -> str:
         node = int(node)
@@ -246,11 +251,13 @@ class DeltaGraphView:
         delta = self._delta(relation)
         if not len(delta) and not self._new_type_codes:
             return self.base.csr(relation)
-        merged = self._merged_csr.get(relation)
-        if (merged is None or merged.spliced < len(delta)
-                or len(merged.indptr) <= self.num_nodes):
-            merged = self._splice(relation, merged)
-            self._merged_csr[relation] = merged
+        with self._csr_lock:
+            merged = self._merged_csr.get(relation)
+            if (merged is None or merged.spliced < len(delta)
+                    or len(merged.indptr) <= self.num_nodes):
+                merged = self._splice(relation, merged)
+                with self._csr_region:
+                    self._merged_csr[relation] = merged
         return merged.indptr, merged.indices
 
     def _splice(self, relation: str,
@@ -326,7 +333,7 @@ class DeltaGraphView:
         """Register a never-seen node; returns its (dense) id."""
         code = self.schema.node_type_index(node_type)
         self._new_type_codes.append(code)
-        self._type_codes_cache = None
+        self._type_codes = self._merge_type_codes()
         self.nodes_ingested += 1
         self.version += 1
         return self.num_nodes - 1
@@ -403,8 +410,9 @@ class DeltaGraphView:
         for buffer in self._deltas.values():
             buffer.clear()
         self._new_type_codes.clear()
-        self._type_codes_cache = None
-        self._merged_csr.clear()
+        self._type_codes = self._merge_type_codes()
+        with self._csr_lock, self._csr_region:
+            self._merged_csr.clear()
         self.compactions += 1
         self.version += 1
         for listener in self._compaction_listeners:

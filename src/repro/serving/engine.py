@@ -29,6 +29,14 @@ on :class:`repro.core.recommender.Recommender` and are compared against the
 engine by the ``serving`` differential oracles in
 :mod:`repro.verify.oracles`; approximate backends are recall-gated by the
 ``index`` oracle suite.
+
+Reads (:meth:`BatchServingEngine.topk_batch`, ``similar_topk``,
+``rank_all``) may run on several threads at once.  What they write has one
+lock each: the counters (:class:`ServingStats`), the embedding cache
+(which also serialises every call into the model) and the ANN index
+table.  :meth:`BatchServingEngine.refresh_topology` is a write: its caller
+keeps reads out while it runs (``RecommendService`` holds its execution
+lock exclusive).
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from repro.serving.index import (
     load_index,
 )
 from repro.serving.pools import CandidatePools
+from repro.utils.concurrency import checked_lock, register_shared_region
 
 __all__ = [
     "BatchServingEngine",
@@ -87,7 +96,8 @@ class ServingStats:
     Each instance owns its latency window outright: the ``window`` size is
     an instance field (not a shared module-level buffer), so engines and
     services running side by side in one process keep fully independent
-    percentile estimates.
+    percentile estimates.  Concurrent reads update the counters through
+    :meth:`count` and :meth:`record_latency`, which take ``_lock``.
     """
 
     requests: int = 0           # engine entry points served
@@ -102,19 +112,34 @@ class ServingStats:
         self.window = max(1, int(self.window))
         if self.latencies is None:
             self.latencies = deque(maxlen=self.window)
+        self._lock = checked_lock("serving.stats._lock")
+        self._region = register_shared_region(
+            "serving.stats", guard="serving.stats._lock",
+            reason="engine counters and latency window, bumped by "
+                   "concurrent reads",
+        )
+
+    def count(self, **deltas: int) -> None:
+        """Add each ``counter=delta`` to that counter."""
+        with self._lock, self._region:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
 
     def record_latency(self, seconds: float) -> None:
-        self.latencies.append(seconds)
+        with self._lock, self._region:
+            self.latencies.append(seconds)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "sources": self.sources,
-            "candidates_scored": self.candidates_scored,
-            "index_builds": self.index_builds,
-            "exact_fallbacks": self.exact_fallbacks,
-            "latency_ms": _percentiles(self.latencies),
-        }
+        with self._lock:
+            counters = {
+                "requests": self.requests,
+                "sources": self.sources,
+                "candidates_scored": self.candidates_scored,
+                "index_builds": self.index_builds,
+                "exact_fallbacks": self.exact_fallbacks,
+            }
+            latencies = list(self.latencies)
+        return {**counters, "latency_ms": _percentiles(latencies)}
 
 
 class RelationEmbeddingCache:
@@ -129,22 +154,38 @@ class RelationEmbeddingCache:
     built against and treats a mismatch as staleness.  Explicit
     :meth:`invalidate` calls and LRU evictions notify registered listeners
     so derived state is dropped eagerly, not discovered stale later.
+
+    One lock, ``_lock``, guards the LRU bookkeeping, the table fill and
+    the norms, and so serialises every call into the model: a fill may
+    advance and then restore the model's sampler streams
+    (``HybridGNN.node_embeddings``), which two fills must not interleave.
+    Listeners run under it.
     """
 
     def __init__(self, model, num_nodes: int, capacity: int = 4):
         self.model = model
-        self.num_nodes = num_nodes
+        self.num_nodes = num_nodes  # repro-lint: guarded-by=_lock
         self.capacity = max(1, int(capacity))
-        self._tables: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._norms: Dict[str, np.ndarray] = {}
-        self._versions: Dict[str, int] = {}
-        self._version_clock = 0
+        self._lock = checked_lock("serving.cache._lock")
+        self._region = register_shared_region(
+            "serving.cache", guard="serving.cache._lock",
+            reason="LRU tables, norms, versions and hit counters, touched "
+                   "by concurrent reads",
+        )
+        self._tables: "OrderedDict[str, np.ndarray]" = OrderedDict()  # repro-lint: guarded-by=_lock
+        self._norms: Dict[str, np.ndarray] = {}  # repro-lint: guarded-by=_lock
+        self._versions: Dict[str, int] = {}  # repro-lint: guarded-by=_lock
+        self._version_clock = 0  # repro-lint: guarded-by=_lock
         self._listeners: List[Callable[[str], None]] = []
-        self.hits = 0
-        self.misses = 0
+        self.hits = 0  # repro-lint: guarded-by=_lock
+        self.misses = 0  # repro-lint: guarded-by=_lock
 
     def table(self, relation: str) -> np.ndarray:
         """The (num_nodes, d) embedding table of ``relation``."""
+        with self._lock, self._region:
+            return self._table(relation)
+
+    def _table(self, relation: str) -> np.ndarray:  # repro-lint: holds=_lock
         if relation in self._tables:
             self._tables.move_to_end(relation)
             self.hits += 1
@@ -170,9 +211,12 @@ class RelationEmbeddingCache:
 
     def norms(self, relation: str) -> np.ndarray:
         """Per-row L2 norms of the relation's table (cached)."""
-        if relation not in self._norms:
-            self._norms[relation] = np.linalg.norm(self.table(relation), axis=1)
-        return self._norms[relation]
+        with self._lock, self._region:
+            if relation not in self._norms:
+                self._norms[relation] = np.linalg.norm(
+                    self._table(relation), axis=1
+                )
+            return self._norms[relation]
 
     def version(self, relation: str) -> int:
         """Monotonic fetch counter for ``relation`` (0 = never fetched).
@@ -181,7 +225,8 @@ class RelationEmbeddingCache:
         re-fetch after invalidation or eviction yields a new version even
         if the model's parameters did not change.
         """
-        return self._versions.get(relation, 0)
+        with self._lock:
+            return self._versions.get(relation, 0)
 
     def invalidate(self, relation: Optional[str] = None) -> None:
         """Drop cached table(s) so the next access re-fetches from the model.
@@ -190,6 +235,16 @@ class RelationEmbeddingCache:
         notified per dropped relation (the engine uses this to retire
         derived ANN indexes).
         """
+        with self._lock, self._region:
+            self._invalidate(relation)
+
+    def resize(self, num_nodes: int) -> None:
+        """Size later fills to ``num_nodes`` rows and drop every table."""
+        with self._lock, self._region:
+            self.num_nodes = num_nodes
+            self._invalidate(None)
+
+    def _invalidate(self, relation: Optional[str]) -> None:  # repro-lint: holds=_lock
         targets = [relation] if relation is not None else list(self._tables)
         for name in targets:
             self._tables.pop(name, None)
@@ -206,7 +261,8 @@ class RelationEmbeddingCache:
 
     @property
     def cached_relations(self) -> List[str]:
-        return list(self._tables)
+        with self._lock:
+            return list(self._tables)
 
 
 class BatchServingEngine:
@@ -271,8 +327,15 @@ class BatchServingEngine:
         self.on_stale = on_stale
         # Fail fast on unknown backends (make_index validates the name).
         make_index(index, **self.index_params)
+        # Taken after the cache's lock (its listeners retire indexes),
+        # never before it.
+        self._index_lock = checked_lock("serving.engine._index_lock")
+        self._index_region = register_shared_region(
+            "serving.indexes", guard="serving.engine._index_lock",
+            reason="resident ANN indexes, built lazily by concurrent reads",
+        )
         # (relation, target_type, metric) -> (index, table_version, pool_len)
-        self._indexes: Dict[
+        self._indexes: Dict[  # repro-lint: guarded-by=_index_lock
             Tuple[str, str, str], Tuple[VectorIndex, int, int]
         ] = {}
         self.cache.add_invalidation_listener(self._drop_indexes_for)
@@ -281,8 +344,9 @@ class BatchServingEngine:
     # Index lifecycle
     # ------------------------------------------------------------------
     def _drop_indexes_for(self, relation: str) -> None:
-        for key in [key for key in self._indexes if key[0] == relation]:
-            del self._indexes[key]
+        with self._index_lock, self._index_region:
+            for key in [key for key in self._indexes if key[0] == relation]:
+                del self._indexes[key]
 
     def refresh_topology(self) -> None:
         """Re-derive pool/cache state after the graph's node set changed.
@@ -294,27 +358,34 @@ class BatchServingEngine:
         rebuilt when the topology moves.  Dropping the cached tables
         notifies listeners, which retires every resident ANN index (the
         version-clock invalidation the delta layer's compaction contract
-        requires).
+        requires).  This is a write: no read may run beside it.
         """
         self.pools = CandidatePools(self.graph)
-        self.cache.num_nodes = self.graph.num_nodes
-        self.cache.invalidate()
+        self.cache.resize(self.graph.num_nodes)
         # Indexes for never-cached relations are keyed on stale pools too.
-        self._indexes.clear()
+        with self._index_lock, self._index_region:
+            self._indexes.clear()
 
-    def _build_index(self, relation: str, target_type: str, metric: str,
-                     table: np.ndarray, pool: np.ndarray) -> VectorIndex:
+    def _build_index(self, relation: str, target_type: str, metric: str,  # repro-lint: holds=_index_lock
+                     table: np.ndarray, pool: np.ndarray, version: int,
+                     norms: Optional[np.ndarray]) -> VectorIndex:
+        """Build and register an index; ``norms`` is required for cosine.
+
+        The caller fetched ``version`` and ``norms`` from the cache before
+        taking ``_index_lock``, which is never held while taking the
+        cache's lock.
+        """
         with self.profiler.stage("serving.index_build"):
             vectors = table[pool]
             if metric == "cosine":
-                norms = self.cache.norms(relation)
                 vectors = vectors / np.maximum(norms[pool], 1e-12)[:, None]
             index = make_index(self.index_backend, **self.index_params)
             index.build(vectors)
-        self.stats.index_builds += 1
-        self._indexes[(relation, target_type, metric)] = (
-            index, self.cache.version(relation), len(pool)
-        )
+        self.stats.count(index_builds=1)
+        with self._index_region:
+            self._indexes[(relation, target_type, metric)] = (
+                index, version, len(pool)
+            )
         return index
 
     def _index_for(self, relation: str, target_type: str, metric: str,
@@ -327,24 +398,31 @@ class BatchServingEngine:
         ``min_index_size``, and for stale entries under
         ``on_stale="exact"``.  Callers must have fetched ``table`` from
         the cache *before* calling (the fetch is what assigns the version
-        this index is validated against).
+        this index is validated against).  Concurrent reads that miss the
+        same index build it once: the first builds under ``_index_lock``
+        and the rest wait for it.
         """
         if self.index_backend == "exact":
             return None
         if len(pool) < self.min_index_size:
             return None
+        version = self.cache.version(relation)
+        norms = self.cache.norms(relation) if metric == "cosine" else None
         key = (relation, target_type, metric)
-        entry = self._indexes.get(key)
-        if entry is not None:
-            index, version, pool_len = entry
-            if version == self.cache.version(relation) and pool_len == len(pool):
-                return index
-            # Stale: the table was re-fetched (or the pool changed) since
-            # this index was built.
-            del self._indexes[key]
-            if self.on_stale == "exact":
-                return None
-        return self._build_index(relation, target_type, metric, table, pool)
+        with self._index_lock:
+            entry = self._indexes.get(key)
+            if entry is not None:
+                index, built_version, pool_len = entry
+                if built_version == version and pool_len == len(pool):
+                    return index
+                # Stale: the table was re-fetched (or the pool changed)
+                # since this index was built.
+                with self._index_region:
+                    del self._indexes[key]
+                if self.on_stale == "exact":
+                    return None
+            return self._build_index(relation, target_type, metric, table,
+                                     pool, version, norms)
 
     # ------------------------------------------------------------------
     # Core batched top-K
@@ -362,8 +440,7 @@ class BatchServingEngine:
         if k <= 0:
             raise EvaluationError(f"k must be positive, got {k}")
         sources = np.asarray(sources, dtype=np.int64)
-        self.stats.requests += 1
-        self.stats.sources += len(sources)
+        self.stats.count(requests=1, sources=len(sources))
         with Timer() as timer:
             results: List[Tuple[np.ndarray, np.ndarray]] = (
                 [(_EMPTY_IDS, _EMPTY_SCORES)] * len(sources)
@@ -442,10 +519,10 @@ class BatchServingEngine:
                     table[block], k,
                     exclude=self._exclusion_lists(rows, cols, len(block)),
                 )
-            self.stats.candidates_scored += index.last_candidates
+            self.stats.count(candidates_scored=index.last_candidates)
             return [(pool[positions], scores) for positions, scores in found]
         if self.index_backend != "exact":
-            self.stats.exact_fallbacks += len(block)
+            self.stats.count(exact_fallbacks=len(block))
         with self.profiler.stage("serving.score"):
             if len(block) == 1:
                 # dgemv then gather keeps scalar requests bit-identical to
@@ -458,7 +535,9 @@ class BatchServingEngine:
             # The matrix is engine-owned: scatter -inf over exclusions in
             # place instead of materialising a boolean candidate mask.
             scores[rows, cols] = -np.inf
-        self.stats.candidates_scored += int(np.count_nonzero(scores > -np.inf))
+        self.stats.count(
+            candidates_scored=int(np.count_nonzero(scores > -np.inf))
+        )
         with self.profiler.stage("serving.topk"):
             return [
                 (pool[ids], top_scores)
@@ -509,8 +588,7 @@ class BatchServingEngine:
         if k <= 0:
             raise EvaluationError(f"k must be positive, got {k}")
         nodes = np.asarray(nodes, dtype=np.int64)
-        self.stats.requests += 1
-        self.stats.sources += len(nodes)
+        self.stats.count(requests=1, sources=len(nodes))
         with Timer() as timer:
             with self.profiler.stage("serving.embeddings"):
                 table = self.cache.table(relation)
@@ -530,7 +608,7 @@ class BatchServingEngine:
                     ))
                     continue
                 if self.index_backend != "exact":
-                    self.stats.exact_fallbacks += 1
+                    self.stats.count(exact_fallbacks=1)
                 with self.profiler.stage("serving.pool"):
                     valid = np.ones(len(pool), dtype=bool)
                     valid[own] = False
@@ -542,7 +620,7 @@ class BatchServingEngine:
                     scores = (table @ table[node])[pool] / np.maximum(
                         norms[pool] * np.linalg.norm(table[node]), 1e-12
                     )
-                self.stats.candidates_scored += int(valid.sum())
+                self.stats.count(candidates_scored=int(valid.sum()))
                 with self.profiler.stage("serving.topk"):
                     ids, top_scores = _stable_topk(scores, valid, k)
                     results.append((pool[ids], top_scores))
@@ -557,7 +635,7 @@ class BatchServingEngine:
         exclude = [np.asarray([own], dtype=np.int64)] if own >= 0 else None
         with self.profiler.stage("serving.index_search"):
             positions, _ = index.search(query, k, exclude=exclude)[0]
-        self.stats.candidates_scored += index.last_candidates
+        self.stats.count(candidates_scored=index.last_candidates)
         if len(positions) == 0:
             return _EMPTY_IDS, _EMPTY_SCORES
         with self.profiler.stage("serving.score"):
@@ -605,10 +683,9 @@ class BatchServingEngine:
         scalar reference's gathered dot products.
         """
         sources = np.asarray(sources, dtype=np.int64)
-        self.stats.requests += 1
-        self.stats.sources += len(sources)
+        self.stats.count(requests=1, sources=len(sources))
         if self.index_backend != "exact":
-            self.stats.exact_fallbacks += len(sources)
+            self.stats.count(exact_fallbacks=len(sources))
         results: List[np.ndarray] = [_EMPTY_IDS] * len(sources)
         with Timer() as timer:
             for ttype, positions in self._group_by_target(
@@ -632,7 +709,7 @@ class BatchServingEngine:
                         # reference's gathered dot products.
                         scores[j] = (table @ table[source])[pool]
                 counts = np.count_nonzero(valid, axis=1)
-                self.stats.candidates_scored += int(counts.sum())
+                self.stats.count(candidates_scored=int(counts.sum()))
                 with self.profiler.stage("serving.topk"):
                     keys = np.where(valid, -scores, np.inf)
                     orders = np.argsort(keys, axis=1, kind="stable")
@@ -657,26 +734,27 @@ class BatchServingEngine:
         with self.profiler.stage("serving.embeddings"):
             table = self.cache.table(relation)
         pool = self.pools.type_pool(target_type)
+        version = self.cache.version(relation)
+        norms = self.cache.norms(relation) if metric == "cosine" else None
         key = (relation, target_type, metric)
-        entry = self._indexes.get(key)
-        if (entry is not None
-                and entry[1] == self.cache.version(relation)
-                and entry[2] == len(pool)):
-            index = entry[0]
-        elif self.index_backend == "exact":
-            with self.profiler.stage("serving.index_build"):
-                vectors = table[pool]
-                if metric == "cosine":
-                    norms = self.cache.norms(relation)
-                    vectors = vectors / np.maximum(
-                        norms[pool], 1e-12
-                    )[:, None]
-                index = make_index("exact", **self.index_params)
-                index.build(vectors)
-            self.stats.index_builds += 1
-        else:
-            index = self._build_index(relation, target_type, metric,
-                                      table, pool)
+        with self._index_lock:
+            entry = self._indexes.get(key)
+            if (entry is not None and entry[1] == version
+                    and entry[2] == len(pool)):
+                index = entry[0]
+            elif self.index_backend == "exact":
+                with self.profiler.stage("serving.index_build"):
+                    vectors = table[pool]
+                    if metric == "cosine":
+                        vectors = vectors / np.maximum(
+                            norms[pool], 1e-12
+                        )[:, None]
+                    index = make_index("exact", **self.index_params)
+                    index.build(vectors)
+                self.stats.count(index_builds=1)
+            else:
+                index = self._build_index(relation, target_type, metric,
+                                          table, pool, version, norms)
         return save_index(index, path, extra_meta={
             "relation": relation,
             "target_type": target_type,
@@ -704,14 +782,18 @@ class BatchServingEngine:
         from repro.check.state import verify_index
 
         verify_index(meta, index, table, pool, source=str(path))
-        self._indexes[(relation, target_type, metric)] = (
-            index, self.cache.version(relation), len(pool)
-        )
+        version = self.cache.version(relation)
+        with self._index_lock, self._index_region:
+            self._indexes[(relation, target_type, metric)] = (
+                index, version, len(pool)
+            )
         return index
 
     # ------------------------------------------------------------------
     def index_report(self) -> Dict[str, object]:
         """Backend configuration plus every resident index entry."""
+        with self._index_lock:
+            entries = list(self._indexes.items())
         return {
             "backend": self.index_backend,
             "params": dict(self.index_params),
@@ -726,7 +808,7 @@ class BatchServingEngine:
                     "table_version": version,
                 }
                 for (relation, target_type, metric), (index, version, _)
-                in self._indexes.items()
+                in entries
             ],
         }
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import SchemaError
 from repro.graph.multiplex import MultiplexHeteroGraph
+from repro.utils.concurrency import checked_lock, register_shared_region
 
 
 def relation_endpoint_types(
@@ -51,7 +52,13 @@ def relation_endpoint_types(
 
 
 class CandidatePools:
-    """Reusable per-node-type candidate masks over a fixed graph."""
+    """Reusable per-node-type candidate masks over a fixed graph.
+
+    The per-type masks, pools and pool positions are built here, once per
+    graph topology, so concurrent readers only ever read them.  Endpoint
+    maps (one pass over a relation's edges each) are built on first use
+    under ``_lock``.
+    """
 
     def __init__(self, graph: MultiplexHeteroGraph):
         self.graph = graph
@@ -59,53 +66,63 @@ class CandidatePools:
         self._type_masks: Dict[str, np.ndarray] = {}
         self._type_pools: Dict[str, np.ndarray] = {}
         self._pool_positions: Dict[str, np.ndarray] = {}
-        for code, name in enumerate(graph.schema.node_types):
+        names = graph.schema.node_types
+        positions = np.full((len(names), graph.num_nodes), -1, dtype=np.int64)
+        for code, name in enumerate(names):
             mask = codes == code
+            pool = np.flatnonzero(mask)
+            positions[code, pool] = np.arange(len(pool))
             mask.flags.writeable = False
+            pool.flags.writeable = False
             self._type_masks[name] = mask
-        self._endpoint_maps: Dict[str, Dict[str, str]] = {}
+            self._type_pools[name] = pool
+        positions.flags.writeable = False
+        for code, name in enumerate(names):
+            self._pool_positions[name] = positions[code]
+        self._lock = checked_lock("serving.pools._lock")
+        self._region = register_shared_region(
+            "serving.pools", guard="serving.pools._lock",
+            reason="endpoint-type maps, built lazily by concurrent reads",
+        )
+        self._endpoint_maps: Dict[str, Dict[str, str]] = {}  # repro-lint: guarded-by=_lock
 
     # ------------------------------------------------------------------
-    def type_mask(self, node_type: str) -> np.ndarray:
-        """Read-only boolean mask (num_nodes,) selecting ``node_type``."""
+    @staticmethod
+    def _per_type(table: Dict[str, np.ndarray], node_type: str) -> np.ndarray:
         try:
-            return self._type_masks[node_type]
+            return table[node_type]
         except KeyError:
             raise SchemaError(f"unknown node type {node_type!r}") from None
 
+    def type_mask(self, node_type: str) -> np.ndarray:
+        """Read-only boolean mask (num_nodes,) selecting ``node_type``."""
+        return self._per_type(self._type_masks, node_type)
+
     def type_pool(self, node_type: str) -> np.ndarray:
-        """Ascending node ids of ``node_type`` (read-only, cached).
+        """Ascending node ids of ``node_type`` (read-only).
 
         The ascending order is load-bearing: pool *positions* then order the
         same way as node ids, so stable tie-breaks computed on positions
         translate unchanged to ids.
         """
-        if node_type not in self._type_pools:
-            pool = np.flatnonzero(self.type_mask(node_type))
-            pool.flags.writeable = False
-            self._type_pools[node_type] = pool
-        return self._type_pools[node_type]
+        return self._per_type(self._type_pools, node_type)
 
     def pool_positions(self, node_type: str) -> np.ndarray:
         """(num_nodes,) map of node id -> position in :meth:`type_pool`.
 
-        Nodes of other types map to -1 (read-only, cached).
+        Nodes of other types map to -1 (read-only).
         """
-        if node_type not in self._pool_positions:
-            pool = self.type_pool(node_type)
-            positions = np.full(self.graph.num_nodes, -1, dtype=np.int64)
-            positions[pool] = np.arange(len(pool))
-            positions.flags.writeable = False
-            self._pool_positions[node_type] = positions
-        return self._pool_positions[node_type]
+        return self._per_type(self._pool_positions, node_type)
 
     def endpoint_map(self, relation: str) -> Dict[str, str]:
         """Cached :func:`relation_endpoint_types` for ``relation``."""
-        if relation not in self._endpoint_maps:
-            self._endpoint_maps[relation] = relation_endpoint_types(
-                self.graph, relation
-            )
-        return self._endpoint_maps[relation]
+        with self._lock:
+            if relation not in self._endpoint_maps:
+                with self._region:
+                    self._endpoint_maps[relation] = relation_endpoint_types(
+                        self.graph, relation
+                    )
+            return self._endpoint_maps[relation]
 
     def target_type_for(self, source: int, relation: str) -> Optional[str]:
         """Resolve the candidate node type for ``source`` under ``relation``.

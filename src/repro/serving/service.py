@@ -14,9 +14,10 @@ router/service split a production recommender backend deploys:
   admission queue**: concurrent single-item requests coalesce into one
   engine call per (endpoint, relation, k, ...) group.  An open group is
   flushed when it reaches ``max_batch``, when its leader's
-  ``flush_interval`` deadline passes, or as soon as no engine call is in
-  flight — a request that finds the executor idle runs at once, and only
-  requests arriving while a batch executes wait to coalesce.  A failing
+  ``flush_interval`` deadline passes, or as soon as no feedback batch is
+  in flight.  Reads run side by side, one engine call per available core
+  at most, so a request waits to coalesce only behind a write or behind
+  a full set of running reads.  A failing
   item fails alone: feedback writes are applied one by one, and a read
   batch that raises is re-run item by item, so every waiter gets its own
   result or its own error.  When ``max_queue`` requests are already
@@ -36,29 +37,40 @@ router/service split a production recommender backend deploys:
   :class:`~repro.perf.StageProfiler` stages, so mixed live traffic shows
   up per stage exactly like training and batch serving do.
 
-Consistency model: one service-wide execution lock serialises engine
-reads, feedback application and compaction — a read observes either the
+Consistency model: one service-wide readers-writer execution lock.  Read
+batches hold it shared and run side by side; a feedback batch holds it
+exclusive for all of its writes, the cold-node topology refreshes they
+trigger and any compaction that follows.  So a read observes either the
 graph before a write batch or after it, never a torn intermediate (the
 ``tests/serving/test_service_threads.py`` suite drives this from a thread
-pool).  Between compactions, reads see merged (CSR + delta) views that
-are bit-identical to a from-scratch rebuild; at compaction the engine's
-embedding cache is invalidated, cascading to resident ANN indexes via the
-cache's version-clock listeners.
+pool).  A write batch waits for the reads in flight to drain, and reads
+that arrive while it waits queue behind it, so a stream of reads cannot
+starve a write.  Between compactions, reads see merged (CSR + delta)
+views that are bit-identical to a from-scratch rebuild; at compaction
+the engine's embedding cache is invalidated, cascading to resident ANN
+indexes via the cache's version-clock listeners.
 
 Lock discipline (machine-checked; see DESIGN.md "Lock-discipline
 contract"): admission/batching state is guarded by ``_cond``, the graph
-view by ``_exec_lock`` — the ``guarded-by`` annotations below drive lint
-rule R009, and both locks are :mod:`repro.utils.concurrency` checked
-primitives feeding the opt-in runtime lock-order sanitizer.  The two
-locks are deliberately never nested: ``_drive`` pops due batches, bumps
-the in-flight and batch counters under ``_cond`` and releases it before
-``_execute`` takes ``_exec_lock``, and ``_execute`` never takes
-``_cond``, so the acquisition-order graph stays edge-free and
-deadlock-free by construction.
+view by the exclusive side of ``_exec_lock`` — the ``guarded-by``
+annotations below drive lint rule R009, which counts ``with
+self._exec_lock.shared():`` as not holding the guard.  The state that
+concurrent reads do write (engine counters, the embedding cache, lazy
+candidate pools, ANN index builds, the cold-start fills, stage timings,
+the view's merged-CSR splice) has one guard each, taken after
+``_exec_lock`` (DESIGN.md lists them and the one order they nest in).
+All locks are :mod:`repro.utils.concurrency` checked primitives feeding the
+opt-in runtime lock-order sanitizer.  ``_cond`` and ``_exec_lock`` are
+deliberately never nested: ``_drive`` pops due batches, bumps the
+in-flight write and batch counters under ``_cond`` and releases it
+before ``_execute`` takes ``_exec_lock``, and ``_execute`` never takes
+``_cond``, so the acquisition-order graph has no edge between them and
+no cycle by construction.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -72,7 +84,8 @@ from repro.serving.engine import BatchServingEngine, _percentiles
 from repro.serving.pools import relation_endpoint_types
 from repro.utils.concurrency import (
     checked_condition,
-    checked_rlock,
+    checked_lock,
+    checked_rwlock,
     register_shared_region,
 )
 
@@ -91,15 +104,35 @@ ENDPOINTS = ("recommend", "similar", "feedback")
 _ENDPOINT_WINDOW = 16384
 
 
+def _read_slots() -> int:
+    """How many read engine calls may run at once.
+
+    Engine reads release the interpreter lock for most of their time, so
+    one read per available core runs in parallel; more only fight over
+    that lock (uncapped, four and eight closed-loop clients on a 2-core
+    host served about half and a fifth of the serialised rate).  At least two, so one
+    slow read, such as a table fill after a topology refresh, never holds
+    up every other read.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    return max(2, cores)
+
+
 @dataclass
 class ServiceConfig:
     """Tunables of the request layer.
 
     ``flush_interval`` bounds how long an open batch may wait for
-    co-batchers while another engine call runs; a batch opened while the
-    executor is idle flushes at once whatever its value.
-    ``flush_interval=0`` makes every request flush immediately after
-    admission, even behind a running call — the synchronous mode used by
+    co-batchers while a feedback batch runs; a batch opened while no
+    write is in flight flushes at once whatever its value.  A read batch
+    also waits for a free read slot (one per available core, at least
+    two) however long that takes, coalescing meanwhile.
+    ``flush_interval=0`` turns coalescing off: every request flushes
+    immediately after admission, even behind a running write or with
+    every read slot taken — the synchronous mode used by
     single-threaded drivers (oracles, trace replays).
     ``compaction_threshold`` is forwarded to the delta view (0 disables
     automatic folds).
@@ -139,26 +172,35 @@ class ColdStartEmbedder:
     recommendation until real training data arrives).  Fill vectors are
     cached per relation and recomputed only if the base model changes
     identity, so padding adds one gather to the cache's one-fetch path.
+    Concurrent reads may ask for the same fill at once; ``_fills_lock``
+    makes the first one compute it and the rest reuse it.
     """
 
     def __init__(self, model, base_num_nodes: int, mode: str = "zeros"):
         self.model = model
         self.base_num_nodes = int(base_num_nodes)
         self.mode = mode
-        self._fills: Dict[str, np.ndarray] = {}
+        self._fills_lock = checked_lock("service._fills_lock")
+        self._fills: Dict[str, np.ndarray] = {}  # repro-lint: guarded-by=_fills_lock
+        self._fills_region = register_shared_region(
+            "service.cold_fills", guard="service._fills_lock",
+            reason="per-relation cold-start fill vectors, filled lazily "
+                   "by concurrent reads",
+        )
 
     def _fill(self, relation: str, sample: np.ndarray) -> np.ndarray:
-        if relation not in self._fills:
-            if self.mode == "mean":
-                table = np.asarray(self.model.node_embeddings(
-                    np.arange(self.base_num_nodes), relation
-                ))
-                self._fills[relation] = table.mean(axis=0)
-            else:
-                self._fills[relation] = np.zeros(
-                    sample.shape[-1], dtype=sample.dtype
-                )
-        return self._fills[relation]
+        with self._fills_lock:
+            if relation not in self._fills:
+                if self.mode == "mean":
+                    table = np.asarray(self.model.node_embeddings(
+                        np.arange(self.base_num_nodes), relation
+                    ))
+                    fill = table.mean(axis=0)
+                else:
+                    fill = np.zeros(sample.shape[-1], dtype=sample.dtype)
+                with self._fills_region:
+                    self._fills[relation] = fill
+            return self._fills[relation]
 
     def node_embeddings(self, nodes: np.ndarray, relation: str) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -285,10 +327,13 @@ class RecommendService:
         self._ripe: Dict[tuple, List[List[_Pending]]] = {}  # repro-lint: guarded-by=_cond
         self._pending_total = 0  # repro-lint: guarded-by=_cond
         self._queue_high_water = 0  # repro-lint: guarded-by=_cond
-        # Flushes popped by _drive and not yet marked done: while it is
-        # zero no engine call runs, so an open batch is due at once.
-        self._inflight = 0  # repro-lint: guarded-by=_cond
-        self._exec_lock = checked_rlock("service._exec_lock")
+        # Flushes popped by _drive and not yet marked done.  While no write
+        # runs or waits, an open batch is due at once; reads also need one
+        # of _read_slots.
+        self._writes_inflight = 0  # repro-lint: guarded-by=_cond
+        self._reads_inflight = 0  # repro-lint: guarded-by=_cond
+        self._read_slots = _read_slots()
+        self._exec_lock = checked_rwlock("service._exec_lock")
         # Write-tracker region for the counters above: writes are
         # bracketed so the runtime sanitizer can flag any future path
         # that mutates stats without holding _cond.
@@ -370,7 +415,7 @@ class RecommendService:
         check is against whatever graph epoch is current at admission.
         That is fine — node ids are dense and ``num_nodes`` only grows,
         so an id valid at admission stays valid forever.  The check is
-        still repeated under ``_exec_lock`` in :meth:`_execute` (see
+        still repeated under ``_exec_lock`` in :meth:`_read` (see
         :meth:`_check_node_ids`) so execution validates against the
         epoch it actually reads, closing the admission-to-execution
         TOCTOU window for any future view whose id space can shrink.
@@ -435,14 +480,26 @@ class RecommendService:
         return requests
 
     def _take_due_batches(self, key: tuple, now: float) -> List[List[_Pending]]:  # repro-lint: holds=_cond
-        """Pop every batch of ``key`` that is due.
+        """Pop the batches of ``key`` that are due.
 
         A batch is due when it is full, when its deadline has passed, or
-        when no engine call is in flight (work conservation).
+        when no feedback batch is in flight (work conservation); a read
+        batch also needs a free read slot.  Reads run side by side, at
+        most ``_read_slots`` engine calls at once, so a read waits for a
+        write in flight or for a slot, and coalesces meanwhile.  With
+        ``flush_interval=0`` (no coalescing) reads take no slot.
         """
         due = self._ripe.pop(key, [])
+        room = len(due) + 1
+        if key[0] != "feedback" and self.config.flush_interval:
+            room = max(0, self._read_slots - self._reads_inflight)
+            if len(due) > room:
+                self._ripe[key] = due[room:]
+                del due[room:]
         batch = self._batches.get(key)
-        if batch is not None and (now >= batch.deadline or not self._inflight):
+        if batch is not None and len(due) < room and (
+            now >= batch.deadline or not self._writes_inflight
+        ):
             del self._batches[key]
             due.append(batch.items)
         return due
@@ -470,14 +527,14 @@ class RecommendService:
         """Block until every request is flushed, leading when it's our turn.
 
         Any requester that finds a due batch of its key (see
-        :meth:`_take_due_batches`) executes it: at once when no engine
-        call is in flight, or when it fills a batch to ``max_batch``.
-        Otherwise the requester that opened the open batch (the
-        *leader*) sleeps until its deadline, and followers just wait;
-        both wake on the ``notify_all`` that ends every flush, so the
-        open batch runs as soon as the executor goes idle.  Execution
-        happens outside the admission lock, serialised by the
-        service-wide execution lock.
+        :meth:`_take_due_batches`) executes it: at once when no write is
+        in flight (and, for a read, a read slot is free), or when it
+        fills a batch to ``max_batch``.  Otherwise the requester that
+        opened the open batch (the *leader*) sleeps until its deadline,
+        and followers just wait; both wake on the ``notify_all`` that
+        ends every flush, so the open batch runs as soon as the write
+        ends or a slot frees.  Execution happens outside the admission
+        lock, under the service-wide readers-writer execution lock.
         """
         own = set(map(id, requests))
         while True:
@@ -489,15 +546,18 @@ class RecommendService:
                 to_flush = self._take_due_batches(key, now)
                 if not to_flush:
                     batch = self._batches.get(key)
-                    if batch is not None and id(batch.leader) in own:
+                    if (batch is not None and id(batch.leader) in own
+                            and batch.deadline > now):
                         # We lead this batch: sleep until its deadline.
-                        timeout = max(0.0, batch.deadline - now)
-                        self._cond.wait(timeout)
+                        self._cond.wait(batch.deadline - now)
                     else:
-                        # Follower: wake on any flush completion.
+                        # Follower, or waiting for a read slot: wake on
+                        # any flush completion.
                         self._cond.wait(0.05)
                     continue
-                self._inflight += len(to_flush)
+                writes = len(to_flush) if key[0] == "feedback" else 0
+                self._writes_inflight += writes
+                self._reads_inflight += len(to_flush) - writes
                 with self._stats_region:
                     self.endpoint_stats[key[0]].batches += len(to_flush)
             try:
@@ -505,7 +565,8 @@ class RecommendService:
                     self._execute(key, items)
             finally:
                 with self._cond:
-                    self._inflight -= len(to_flush)
+                    self._writes_inflight -= writes
+                    self._reads_inflight -= len(to_flush) - writes
                     self._pending_total -= sum(map(len, to_flush))
                     for items in to_flush:
                         for item in items:
@@ -518,18 +579,20 @@ class RecommendService:
     def _execute(self, key: tuple, items: List[_Pending]) -> None:
         endpoint = key[0]
         try:
-            with self._exec_lock:
-                with self.profiler.stage(f"service.{endpoint}"):
-                    if endpoint == "feedback":
+            if endpoint == "feedback":
+                with self._exec_lock.exclusive():
+                    with self.profiler.stage("service.feedback"):
                         self._execute_feedback(key[1], items)
-                    else:
+            else:
+                with self._exec_lock.shared():
+                    with self.profiler.stage(f"service.{endpoint}"):
                         self._execute_reads(key, items)
-        except BaseException as error:  # surfaced on every unserved waiter
+        except BaseException as error:  # surfaced on every waiter
             for item in items:
-                if item.result is None and item.error is None:
+                if item.error is None:
                     item.error = error
 
-    def _read(self, key: tuple, payloads: list) -> list:  # repro-lint: holds=_exec_lock
+    def _read(self, key: tuple, payloads: list) -> list:  # repro-lint: holds=_exec_lock:shared
         """One engine call for a read batch's payloads."""
         # Execution-epoch revalidation (see _check_read).
         self._check_node_ids(payloads)
@@ -541,7 +604,7 @@ class RecommendService:
         _, relation, k = key
         return self.engine.similar_topk(payloads, relation, k)
 
-    def _execute_reads(self, key: tuple, items: List[_Pending]) -> None:  # repro-lint: holds=_exec_lock
+    def _execute_reads(self, key: tuple, items: List[_Pending]) -> None:  # repro-lint: holds=_exec_lock:shared
         try:
             results = self._read(key, [item.payload for item in items])
         except Exception:
@@ -567,8 +630,18 @@ class RecommendService:
             except Exception as error:
                 item.error = error
         if self.view.should_compact():
-            with self.profiler.stage("service.compaction"):
-                self.view.compact()
+            try:
+                with self.profiler.stage("service.compaction"):
+                    self.view.compact()
+            except Exception as cause:
+                # _execute hands this to every waiter without an error of
+                # its own.  The writes stay applied (a resend is dropped as
+                # a duplicate) and the delta stays pending, so the next
+                # write batch compacts it.
+                raise ServiceError(
+                    f"the {relation!r} feedback was applied, but the "
+                    f"compaction after it failed: {cause!r}"
+                ) from cause
             for item in items:
                 if item.result is not None:
                     item.result["compacted"] = True
@@ -630,8 +703,8 @@ class RecommendService:
         return {
             "accepted": accepted,
             "new_nodes": new_nodes,
-            # Overwritten by _execute when this write batch tips the view
-            # over its compaction threshold.
+            # Overwritten by _execute_feedback when this write batch tips
+            # the view over its compaction threshold.
             "compacted": False,
             "version": self.view.version,
         }

@@ -4,12 +4,12 @@ the runtime lock-discipline sanitizer (:mod:`repro.utils.concurrency`)."""
 from repro.utils.concurrency import (
     CheckedCondition,
     CheckedLock,
-    CheckedRLock,
+    CheckedRWLock,
     ConcurrencyFinding,
     SharedRegion,
     checked_condition,
     checked_lock,
-    checked_rlock,
+    checked_rwlock,
     concurrency_findings,
     held_locks,
     lock_order_edges,
@@ -38,12 +38,12 @@ __all__ = [
     "format_table",
     "CheckedCondition",
     "CheckedLock",
-    "CheckedRLock",
+    "CheckedRWLock",
     "ConcurrencyFinding",
     "SharedRegion",
     "checked_condition",
     "checked_lock",
-    "checked_rlock",
+    "checked_rwlock",
     "concurrency_findings",
     "held_locks",
     "lock_order_edges",

@@ -6,7 +6,7 @@ static rules in
 violations; this module catches the *dynamic* ones the AST cannot see:
 
 - **Lock-order inversions.**  :func:`checked_lock` /
-  :func:`checked_rlock` / :func:`checked_condition` wrap the standard
+  :func:`checked_rwlock` / :func:`checked_condition` wrap the standard
   ``threading`` primitives and, while the sanitizer is enabled, record
   every (held-lock, acquired-lock) pair into a per-process
   lock-acquisition-order graph.  Acquiring a lock that would complete a
@@ -18,8 +18,9 @@ violations; this module catches the *dynamic* ones the AST cannot see:
 - **Unguarded shared writes.**  :func:`register_shared_region` declares
   a named shared-memory write region with an optional declared guard
   lock.  Entering the region (``with region:``) while the sanitizer is
-  enabled records a finding when the declared guard is not held, or when
-  two threads are inside an *unguarded* region at once.
+  enabled records a finding when the declared guard is not held (or, for
+  a readers-writer guard, is held only on its shared side), or when two
+  threads are inside an *unguarded* region at once.
 
 Following the :mod:`repro.nn.sanitizer` contract: **off by default**,
 the only overhead when disabled is a single integer flag test per
@@ -46,14 +47,15 @@ from repro.errors import LockOrderError
 __all__ = [
     "CheckedCondition",
     "CheckedLock",
-    "CheckedRLock",
+    "CheckedRWLock",
     "ConcurrencyFinding",
     "SharedRegion",
     "checked_condition",
     "checked_lock",
-    "checked_rlock",
+    "checked_rwlock",
     "concurrency_findings",
     "held_locks",
+    "held_shared",
     "lock_order_edges",
     "lock_sanitizer",
     "lock_sanitizer_enabled",
@@ -94,9 +96,26 @@ def _stack() -> List[str]:
     return stack
 
 
+def _shared_stack() -> List[str]:
+    shared = getattr(_HELD, "shared", None)
+    if shared is None:
+        shared = []
+        _HELD.shared = shared
+    return shared
+
+
 def held_locks() -> Tuple[str, ...]:
-    """Names of checked locks held by the calling thread, outermost first."""
+    """Names of checked locks held by the calling thread, outermost first.
+
+    A readers-writer lock held on its shared side is listed too; see
+    :func:`held_shared` for which ones those are.
+    """
     return tuple(getattr(_HELD, "stack", None) or ())
+
+
+def held_shared() -> Tuple[str, ...]:
+    """Names of readers-writer locks the calling thread holds shared."""
+    return tuple(getattr(_HELD, "shared", None) or ())
 
 
 def lock_order_edges() -> Dict[str, Tuple[str, ...]]:
@@ -151,18 +170,25 @@ def _check_acquire(name: str, reentrant: bool) -> None:
             edges.add(name)
 
 
-def _note_acquired(name: str) -> None:
+def _note_acquired(name: str, shared: bool = False) -> None:
     _stack().append(name)
+    if shared:
+        _shared_stack().append(name)
 
 
-def _note_released(name: str) -> None:
-    stack = getattr(_HELD, "stack", None)
+def _remove_last(stack: Optional[List[str]], name: str) -> None:
     if not stack:
         return
     for i in range(len(stack) - 1, -1, -1):
         if stack[i] == name:
             del stack[i]
             return
+
+
+def _note_released(name: str, shared: bool = False) -> None:
+    _remove_last(getattr(_HELD, "stack", None), name)
+    if shared:
+        _remove_last(getattr(_HELD, "shared", None), name)
 
 
 class CheckedLock:
@@ -173,15 +199,13 @@ class CheckedLock:
     raises instead of deadlocking.
     """
 
-    _reentrant = False
-
-    def __init__(self, name: str, inner=None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._inner = threading.Lock() if inner is None else inner
+        self._inner = threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         if STATE.enabled:
-            _check_acquire(self.name, self._reentrant)
+            _check_acquire(self.name, False)
         acquired = self._inner.acquire(blocking, timeout)
         if acquired and STATE.enabled:
             _note_acquired(self.name)
@@ -195,6 +219,32 @@ class CheckedLock:
         _note_released(self.name)
 
     def __enter__(self) -> "CheckedLock":
+        if STATE.enabled:
+            self.acquire()
+        else:
+            self._inner.acquire()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._inner.release()
+        if getattr(_HELD, "stack", None):
+            _note_released(self.name)
+        return False
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.name!r})"
+
+
+class _Side:
+    """The context manager of one side of a :class:`CheckedRWLock`."""
+
+    __slots__ = ("acquire", "release")
+
+    def __init__(self, acquire, release) -> None:
+        self.acquire = acquire
+        self.release = release
+
+    def __enter__(self) -> "_Side":
         self.acquire()
         return self
 
@@ -202,17 +252,86 @@ class CheckedLock:
         self.release()
         return False
 
+
+class CheckedRWLock:
+    """Readers-writer lock feeding the lock-order sanitizer.
+
+    ``with lock.shared():`` admits any number of threads at once;
+    ``with lock.exclusive():`` admits one thread and no shared holder.
+    A thread waiting for the exclusive side blocks new shared acquires,
+    so a stream of overlapping shared holds cannot starve it.
+
+    Neither side is reentrant: a thread that holds the lock and acquires
+    it again (including upgrading shared to exclusive) would wait behind
+    itself or behind a waiting writer, so the sanitizer raises
+    :class:`~repro.errors.LockOrderError` instead.  Both sides are one
+    node of the order graph.  A shared region whose declared guard is
+    this lock counts as guarded only while the exclusive side is held.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._state = threading.Condition(threading.Lock())
+        self._readers = 0
+        self._writer = False
+        self._writers_waiting = 0
+        self._shared = _Side(self.acquire_shared, self.release_shared)
+        self._exclusive = _Side(self.acquire_exclusive, self.release_exclusive)
+
+    def shared(self) -> _Side:
+        """Context manager holding the shared side."""
+        return self._shared
+
+    def exclusive(self) -> _Side:
+        """Context manager holding the exclusive side."""
+        return self._exclusive
+
+    def acquire_shared(self) -> None:
+        if STATE.enabled:
+            _check_acquire(self.name, False)
+        with self._state:
+            while self._writer or self._writers_waiting:
+                self._state.wait()
+            self._readers += 1
+        if STATE.enabled:
+            _note_acquired(self.name, shared=True)
+
+    def release_shared(self) -> None:
+        with self._state:
+            self._readers -= 1
+            # Only writers wait for readers to drain.
+            if not self._readers and self._writers_waiting:
+                self._state.notify_all()
+        if getattr(_HELD, "stack", None):
+            _note_released(self.name, shared=True)
+
+    def acquire_exclusive(self) -> None:
+        if STATE.enabled:
+            _check_acquire(self.name, False)
+        with self._state:
+            self._writers_waiting += 1
+            try:
+                while self._writer or self._readers:
+                    self._state.wait()
+            except BaseException:
+                # Readers queued behind this writer may go first now.
+                self._writers_waiting -= 1
+                self._state.notify_all()
+                raise
+            self._writers_waiting -= 1
+            self._writer = True
+        if STATE.enabled:
+            _note_acquired(self.name)
+
+    def release_exclusive(self) -> None:
+        with self._state:
+            self._writer = False
+            self._state.notify_all()
+        if getattr(_HELD, "stack", None):
+            _note_released(self.name)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class CheckedRLock(CheckedLock):
-    """``threading.RLock`` wrapper; reentrant acquires skip order edges."""
-
-    _reentrant = True
-
-    def __init__(self, name: str, inner=None) -> None:
-        super().__init__(name, threading.RLock() if inner is None else inner)
+        return f"CheckedRWLock({self.name!r})"
 
 
 class CheckedCondition:
@@ -283,9 +402,9 @@ def checked_lock(name: str) -> CheckedLock:
     return CheckedLock(name)
 
 
-def checked_rlock(name: str) -> CheckedRLock:
-    """A reentrant checked lock named ``name`` in the order graph."""
-    return CheckedRLock(name)
+def checked_rwlock(name: str) -> CheckedRWLock:
+    """A checked readers-writer lock named ``name`` in the order graph."""
+    return CheckedRWLock(name)
 
 
 def checked_condition(name: str, lock=None) -> CheckedCondition:
@@ -390,6 +509,13 @@ class SharedRegion:
                 self.name,
                 f"write without holding declared guard '{self.guard}'",
             )
+        elif self.guard is not None and self.guard in held_shared():
+            _record_finding(
+                "unguarded-write",
+                self.name,
+                f"write holding only the shared side of declared guard "
+                f"'{self.guard}'",
+            )
         ident = threading.get_ident()
         concurrent = 0
         with _REGISTRY_MUTEX:
@@ -405,6 +531,10 @@ class SharedRegion:
         return self
 
     def __exit__(self, *exc) -> bool:
+        if not self._writers:
+            # Nothing was counted (the sanitizer was off on entry): skip
+            # the process-wide mutex on the hot, sanitizer-off path.
+            return False
         ident = threading.get_ident()
         with _REGISTRY_MUTEX:
             depth = self._writers.get(ident, 0) - 1

@@ -11,7 +11,10 @@
   a planted guard-not-held write must each be flagged.
 - **service_storm_zero_findings** — the mixed read/write/compaction
   thread storm from the serving suite, run with the sanitizer enabled:
-  zero findings, zero lock-order errors, queue drained.
+  zero findings, zero lock-order errors, queue drained, and at least two
+  read engine calls in flight at once (two reads on different keys meet
+  inside the engine first), so the shared side of the execution lock
+  and the state that concurrent reads write are covered.
 - **sanitizer_bitidentity_service** — a seeded synchronous endpoint
   sequence replayed with the sanitizer off vs on must produce
   bit-identical ids and scores (the wrappers delegate to the same
@@ -32,7 +35,6 @@ from repro.graph import GraphBuilder, GraphSchema
 from repro.serving import RecommendService, ServiceConfig
 from repro.utils.concurrency import (
     checked_lock,
-    checked_rlock,
     concurrency_findings,
     lock_sanitizer,
     register_shared_region,
@@ -68,7 +70,7 @@ def _lock_order_selftest() -> OracleResult:
     """Planted inversion and self-deadlock must both raise."""
     reset_concurrency_state()
     lock_a = checked_lock("selftest.A")
-    lock_b = checked_rlock("selftest.B")
+    lock_b = checked_lock("selftest.B")
     caught_inversion = False
     caught_self = False
     try:
@@ -138,13 +140,53 @@ def _write_tracker_selftest() -> OracleResult:
     )
 
 
+class _ReadOverlap:
+    """Counts read engine calls in flight; the first two wait to meet.
+
+    The first two calls wait (bounded) at a barrier inside the engine, so
+    two reads hold the execution lock's shared side at the same time
+    whenever the service lets them.  ``peak`` is the most calls ever in
+    flight at once.
+    """
+
+    def __init__(self, engine, timeout: float = 10.0):
+        self._lock = threading.Lock()
+        self._barrier = threading.Barrier(2, timeout=timeout)
+        self._started = 0
+        self._inflight = 0
+        self.peak = 0
+        for name in ("topk_batch", "similar_topk"):
+            setattr(engine, name, self._wrap(getattr(engine, name)))
+
+    def _wrap(self, call):
+        def counted(*args, **kwargs):
+            with self._lock:
+                self._started += 1
+                meet = self._started <= 2
+                self._inflight += 1
+                self.peak = max(self.peak, self._inflight)
+            try:
+                if meet:
+                    try:
+                        self._barrier.wait()
+                    except threading.BrokenBarrierError:
+                        pass  # never met: peak stays 1 and the oracle fails
+                return call(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self._inflight -= 1
+        return counted
+
+
 def _service_storm(seed: int) -> OracleResult:
-    """The mixed thread storm, sanitized: zero findings, zero errors."""
+    """The mixed thread storm, sanitized: zero findings, zero errors,
+    overlapping reads."""
     reset_concurrency_state()
     service = _tiny_service(
         seed, flush_interval=0.001, max_batch=8, max_queue=10_000,
         compaction_threshold=6,
     )
+    overlap = _ReadOverlap(service.engine)
     errors: List[BaseException] = []
 
     def worker(i: int) -> None:
@@ -162,18 +204,32 @@ def _service_storm(seed: int) -> OracleResult:
         except BaseException as error:
             errors.append(error)
 
+    def first_reads() -> None:
+        # Two reads on different keys, no write: they must meet.
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(service.recommend, 0, "view", 3),
+                           pool.submit(service.similar, 3, "view", 3)]
+                for future in futures:
+                    future.result()
+        except Exception as error:
+            errors.append(error)
+
     try:
         with lock_sanitizer():
+            first_reads()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 list(pool.map(worker, range(120)))
             findings = concurrency_findings()
     finally:
         reset_concurrency_state()
     depth = service.queue_depth
-    diff = float(len(findings) + len(errors) + depth)
+    serial = int(overlap.peak < 2)
+    diff = float(len(findings) + len(errors) + depth + serial)
     detail = (
-        f"120 mixed requests, 8 threads: {len(findings)} finding(s), "
-        f"{len(errors)} error(s), queue depth {depth}"
+        f"2 overlapping reads then 120 mixed requests, 8 threads: "
+        f"{len(findings)} finding(s), {len(errors)} error(s), queue depth "
+        f"{depth}, at most {overlap.peak} read engine call(s) in flight"
     )
     if findings:
         detail += f"; first: {findings[0].to_dict()}"

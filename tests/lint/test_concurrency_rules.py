@@ -86,6 +86,20 @@ POSITIVE = [
         "externally-serialised attribute 'self._cache'",
     ),
     (
+        "R009",
+        "serving/example.py",
+        """\
+        class Service:
+            def __init__(self):
+                self.view = {}  # repro-lint: guarded-by=_exec_lock
+
+            def read(self):
+                with self._exec_lock.shared():
+                    self.view["n"] = 1  # LINE
+        """,
+        "mutated holding only the shared side of 'self._exec_lock'",
+    ),
+    (
         "R011",
         "train/example.py",
         """\
@@ -169,7 +183,7 @@ POSITIVE = [
 # Stable case labels, one per POSITIVE entry: dropping a case must not
 # rename the cases after it.
 IDS = [
-    "R009-0", "R009-1", "R009-2", "R009-3",
+    "R009-0", "R009-1", "R009-2", "R009-3", "R009-4",
     "R011-8", "R011-9",
     "R012-10", "R012-11", "R012-12", "R012-13",
 ]
@@ -245,6 +259,30 @@ def test_r009_holds_marker_declares_caller_contract():
         "serving/example.py",
     )
     assert "R009" not in codes(found)
+
+
+def test_r009_readers_writer_guard_needs_the_exclusive_side():
+    found, _ = findings_for(
+        """\
+        class Service:
+            def __init__(self):
+                self.view = {}  # repro-lint: guarded-by=_exec_lock
+
+            def write(self):
+                with self._exec_lock.exclusive():
+                    self.view["n"] = 1
+
+            def _apply(self):  # repro-lint: holds=_exec_lock
+                self.view.pop("n", None)
+
+            def _read(self):  # repro-lint: holds=_exec_lock:shared
+                self.view.clear()
+        """,
+        "serving/example.py",
+    )
+    r009 = [f for f in found if f.code == "R009"]
+    assert len(r009) == 1
+    assert "shared side" in r009[0].message and "Service._read" in r009[0].message
 
 
 def test_r009_init_and_local_rebinding_are_clean():
@@ -400,3 +438,19 @@ def test_r012_finding_lists_every_held_lock():
     target = next(f for f in found if f.code == "R012")
     assert "self._cond" in target.message
     assert "self._exec_lock" in target.message
+
+
+def test_r012_sees_either_side_of_a_readers_writer_lock():
+    found, _ = findings_for(
+        """\
+        import time
+
+        class Pool:
+            def drain(self):
+                with self._exec_lock.shared():
+                    time.sleep(0.1)
+        """,
+        "serving/example.py",
+    )
+    assert any(f.code == "R012" and "self._exec_lock" in f.message
+               for f in found)

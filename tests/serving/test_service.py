@@ -370,6 +370,28 @@ class TestValidation:
         assert service.feedback(0, 3, "view")["accepted"] is False
         assert service.view.duplicates_dropped == 1
 
+    def test_failed_compaction_reaches_the_waiter(self):
+        service = make_service(compaction_threshold=1)
+        real_compact = service.view.compact
+
+        def broken():
+            raise MemoryError("planted compaction failure")
+
+        service.view.compact = broken
+        with pytest.raises(ServiceError, match="compaction") as info:
+            service.feedback(0, 5, "view")
+        assert isinstance(info.value.__cause__, MemoryError)
+        # The write stayed applied and its delta stayed pending.
+        assert service.view.has_edge(0, 5, "view")
+        assert service.view.pending_edges == 1
+        assert service.queue_depth == 0
+        service.view.compact = real_compact
+        # Sent again, it is a duplicate, and the next write compacts.
+        result = service.feedback(0, 5, "view")
+        assert result["accepted"] is False and result["compacted"] is True
+        assert service.view.pending_edges == 0
+        assert service.view.compactions == 1
+
 
 class TestReports:
     def test_stats_report_shape(self):

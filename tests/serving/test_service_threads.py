@@ -1,15 +1,19 @@
 """Concurrency smoke: the service under a thread pool, compactions live.
 
-The service guarantees epoch consistency: one execution lock serialises
-engine reads, feedback application and compaction, so a concurrent read
-must observe the graph as it stood between two write applications — never
-a torn intermediate.  The torn-read test makes that falsifiable: every
+The service guarantees epoch consistency: one readers-writer execution
+lock lets reads run side by side and holds every feedback batch (with its
+topology refreshes and compaction) apart from them, so a concurrent read
+must observe the graph as it stood between two write batches — never a
+torn intermediate.  The torn-read test makes that falsifiable: every
 concurrent read's result must be bit-identical to one of the precomputed
-per-write-prefix snapshots.
+per-write-prefix snapshots.  The gated tests pin the scheduling contract:
+reads overlap each other, requests coalesce only behind a write, and a
+read that arrives while a write waits runs after it.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -255,15 +259,41 @@ def test_sanitized_storm_compaction_vs_batch_reads():
     assert after == expected
 
 
+def test_concurrent_engine_reads_lose_no_counter_updates():
+    """Read-side counters and stage totals survive racing threads."""
+    graph = build_base()
+    engine = BatchServingEngine(build_store(graph), graph)
+    threads, calls = 8, 150
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def reader(worker):
+            for i in range(calls):
+                engine.topk_batch([(worker + i) % 3], "view", 2)
+                engine.similar_topk([3 + (worker + i) % 4], "view", 2)
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(reader, w) for w in range(threads)]:
+                future.result(60.0)
+    finally:
+        sys.setswitchinterval(previous)
+    total = threads * calls
+    assert engine.stats.requests == 2 * total
+    assert engine.stats.sources == 2 * total
+    assert len(engine.stats.latencies) == 2 * total
+    stages = engine.profiler.report()
+    assert stages["serving.topk"]["calls"] == 2 * total
+    assert stages["serving.embeddings"]["calls"] == 2 * total
+
+
 # ----------------------------------------------------------------------
-# Work-conserving flushes and per-item failure
+# Concurrent reads, work-conserving flushes and per-item failure
 # ----------------------------------------------------------------------
-def gate_topk(service, poison=()):
+def gate_topk(service):
     """Hold the first ``engine.topk_batch`` call until ``release`` is set.
 
     Returns ``(entered, release)``: ``entered`` is set once the first call
-    runs, so the test knows an engine call is in flight.  A batch naming a
-    source in ``poison`` raises, standing in for any per-item failure.
+    runs, so the test knows a read engine call is in flight.
     """
     entered, release = threading.Event(), threading.Event()
     real = service.engine.topk_batch
@@ -272,11 +302,28 @@ def gate_topk(service, poison=()):
         if not entered.is_set():
             entered.set()
             assert release.wait(10.0)
-        if any(source in poison for source in sources):
-            raise ServiceError(f"poisoned source in {list(sources)}")
         return real(sources, *args, **kwargs)
 
     service.engine.topk_batch = gated
+    return entered, release
+
+
+def gate_feedback(service):
+    """Hold the first edge write until ``release`` is set.
+
+    Returns ``(entered, release)`` like :func:`gate_topk`; while the
+    write is held, its feedback batch holds the execution lock exclusive.
+    """
+    entered, release = threading.Event(), threading.Event()
+    real = service.view.add_edge
+
+    def gated(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10.0)
+        return real(*args, **kwargs)
+
+    service.view.add_edge = gated
     return entered, release
 
 
@@ -296,14 +343,73 @@ def test_lone_request_does_not_wait_out_the_flush_interval():
     assert len(ids) == len(scores) > 0
 
 
-def test_requests_behind_a_running_call_coalesce_into_one_batch():
-    """Requests admitted during an engine call run together right after it."""
+def test_a_read_completes_while_another_read_is_held():
+    """Reads run side by side: a held read does not hold up the next."""
     service = make_service(flush_interval=5.0)
     entered, release = gate_topk(service)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(service.recommend, 0, "view", 3)
+        assert entered.wait(10.0)
+        ids, scores = pool.submit(service.recommend, 1, "view", 2).result(5.0)
+        assert not first.done()
+        release.set()
+        first.result(10.0)
+    want_ids, want_scores = service.engine.topk_batch([1], "view", 2)[0]
+    assert ids.tolist() == want_ids.tolist()
+    assert scores.tolist() == want_scores.tolist()
+    assert service.endpoint_stats["recommend"].batches == 2
+
+
+def test_read_admitted_during_a_held_write_sees_the_write():
+    """A read waits for the write batch in flight, then reads its graph."""
+    service = make_service(flush_interval=5.0)
+    entered, release = gate_feedback(service)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        write = pool.submit(service.feedback, 0, 5, "view")
+        assert entered.wait(10.0)
+        read = pool.submit(service.recommend, 0, "view", 4)
+        wait_until(lambda: service.queue_depth == 2)
+        time.sleep(0.05)
+        assert not read.done()
+        release.set()
+        assert write.result(10.0)["accepted"] is True
+        ids, _ = read.result(10.0)
+    # Node 5 became a known neighbour of 0, so the read excludes it.
+    assert 5 not in ids.tolist()
+    assert ids.tolist() == service.engine.topk_batch([0], "view", 4)[0][0].tolist()
+
+
+def test_read_arriving_while_a_write_waits_runs_after_it():
+    """A write waiting for a read to drain is not overtaken by new reads."""
+    service = make_service(flush_interval=5.0)
+    entered, release = gate_topk(service)
+    feedback = service.endpoint_stats["feedback"]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        held = pool.submit(service.recommend, 0, "view", 3)
+        assert entered.wait(10.0)
+        write = pool.submit(service.feedback, 1, 6, "view")
+        # The write's batch is popped and waits for the held read.
+        wait_until(lambda: feedback.batches == 1)
+        late = pool.submit(service.recommend, 1, "view", 4)
+        wait_until(lambda: service.queue_depth == 3)
+        time.sleep(0.05)
+        assert not write.done() and not late.done()
+        release.set()
+        held.result(10.0)
+        assert write.result(10.0)["accepted"] is True
+        ids, _ = late.result(10.0)
+    # The late read ran after the write: 6 is now 1's known neighbour.
+    assert 6 not in ids.tolist()
+
+
+def test_requests_behind_a_running_call_coalesce_into_one_batch():
+    """Requests admitted during a write batch run together right after it."""
+    service = make_service(flush_interval=5.0)
+    entered, release = gate_feedback(service)
     sources = [1, 2, 0, 1]
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=len(sources) + 1) as pool:
-        first = pool.submit(service.recommend, 0, "view", 3)
+        first = pool.submit(service.feedback, 1, 6, "view")
         assert entered.wait(10.0)
         futures = [
             pool.submit(service.recommend, source, "view", 3)
@@ -314,12 +420,47 @@ def test_requests_behind_a_running_call_coalesce_into_one_batch():
         results = [future.result(10.0) for future in futures]
         first.result(10.0)
     assert time.perf_counter() - start < 2.5
-    assert service.endpoint_stats["recommend"].batches == 2
+    assert service.endpoint_stats["recommend"].batches == 1
     assert service.queue_depth == 0
     for source, (ids, scores) in zip(sources, results):
         want_ids, want_scores = service.engine.topk_batch([source], "view", 3)[0]
         assert ids.tolist() == want_ids.tolist()
         np.testing.assert_allclose(scores, want_scores, rtol=1e-12)
+
+
+def test_reads_beyond_the_read_slots_coalesce():
+    """With every read slot taken, new reads wait and run as one batch."""
+    service = make_service(flush_interval=5.0)
+    service._read_slots = 2
+    entered = threading.Semaphore(0)
+    release = threading.Event()
+    real = service.engine.topk_batch
+    calls = []
+
+    def gated(sources, *args, **kwargs):
+        calls.append(list(sources))
+        if len(calls) <= 2:
+            entered.release()
+            assert release.wait(10.0)
+        return real(sources, *args, **kwargs)
+
+    service.engine.topk_batch = gated
+    stats = service.endpoint_stats["recommend"]
+    with ThreadPoolExecutor(max_workers=5) as pool:
+        held = [pool.submit(service.recommend, source, "view", 3)
+                for source in (0, 1)]
+        for _ in held:
+            assert entered.acquire(timeout=10.0)
+        waiting = [pool.submit(service.recommend, source, "view", 4)
+                   for source in (2, 0, 1)]
+        wait_until(lambda: service.queue_depth == 5)
+        time.sleep(0.05)
+        assert stats.batches == 2 and not any(f.done() for f in waiting)
+        release.set()
+        for future in held + waiting:
+            future.result(10.0)
+    assert stats.batches == 3
+    assert sorted(calls[2]) == [0, 1, 2]
 
 
 def test_zero_flush_interval_never_coalesces_separate_requests():
@@ -344,10 +485,19 @@ def test_zero_flush_interval_never_coalesces_separate_requests():
 def test_failing_read_in_a_coalesced_batch_fails_alone():
     """The batch is re-run per item: neighbours still get their results."""
     service = make_service(flush_interval=5.0)
-    entered, release = gate_topk(service, poison={1})
+    entered, release = gate_feedback(service)
+    real = service.engine.topk_batch
+
+    def poisoned(sources, *args, **kwargs):
+        # Stands in for any per-item failure.
+        if 1 in list(sources):
+            raise ServiceError(f"poisoned source in {list(sources)}")
+        return real(sources, *args, **kwargs)
+
+    service.engine.topk_batch = poisoned
     sources = [0, 1, 2]
     with ThreadPoolExecutor(max_workers=len(sources) + 1) as pool:
-        first = pool.submit(service.recommend, 2, "view", 3)
+        first = pool.submit(service.feedback, 1, 6, "view")
         assert entered.wait(10.0)
         futures = {
             source: pool.submit(service.recommend, source, "view", 3)
@@ -360,21 +510,19 @@ def test_failing_read_in_a_coalesced_batch_fails_alone():
             futures[1].result(10.0)
         for source in (0, 2):
             ids, scores = futures[source].result(10.0)
-            want_ids, want_scores = service.engine.topk_batch(
-                [source], "view", 3
-            )[0]
+            want_ids, want_scores = real([source], "view", 3)[0]
             assert ids.tolist() == want_ids.tolist()
             assert scores.tolist() == want_scores.tolist()
-    assert service.endpoint_stats["recommend"].batches == 2
+    assert service.endpoint_stats["recommend"].batches == 1
 
 
 def test_failing_feedback_in_a_coalesced_batch_fails_alone():
     """A self-loop reports its own error; the writes after it still apply."""
     service = make_service(flush_interval=5.0, compaction_threshold=0)
-    entered, release = gate_topk(service)
+    entered, release = gate_feedback(service)
     edges = [(0, 5), (3, 3), (2, 3)]
     with ThreadPoolExecutor(max_workers=len(edges) + 1) as pool:
-        first = pool.submit(service.recommend, 0, "view", 3)
+        first = pool.submit(service.feedback, 1, 6, "view")
         assert entered.wait(10.0)
         futures = []
         for u, v in edges:
@@ -387,7 +535,7 @@ def test_failing_feedback_in_a_coalesced_batch_fails_alone():
             futures[1].result(10.0)
         for future in (futures[0], futures[2]):
             assert future.result(10.0)["accepted"] is True
-    assert service.endpoint_stats["feedback"].batches == 1
+    assert service.endpoint_stats["feedback"].batches == 2
     assert service.view.has_edge(0, 5, "view")
     assert service.view.has_edge(2, 3, "view")
     assert not service.view.has_edge(3, 3, "view")

@@ -2,13 +2,16 @@
 
 Covers the :mod:`repro.utils.concurrency` contract: off by default,
 order-graph recording and cycle detection, reentrancy semantics,
-condition ``wait`` bookkeeping, and the shared-region write tracker
-(guarded / unguarded-concurrent / unregistered).
+condition ``wait`` bookkeeping, the readers-writer lock (overlapping
+shared holds, writer preference, no reentry or upgrade), and the
+shared-region write tracker (guarded / unguarded-concurrent /
+unregistered / shared side only).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -16,12 +19,13 @@ from repro.errors import LockOrderError
 from repro.utils.concurrency import (
     CheckedCondition,
     CheckedLock,
-    CheckedRLock,
+    CheckedRWLock,
     checked_condition,
     checked_lock,
-    checked_rlock,
+    checked_rwlock,
     concurrency_findings,
     held_locks,
+    held_shared,
     lock_order_edges,
     lock_sanitizer,
     lock_sanitizer_enabled,
@@ -54,7 +58,7 @@ def test_sanitizer_is_off_by_default_and_records_nothing():
 
 
 def test_held_stack_and_order_edges_are_recorded():
-    a, b = checked_lock("rec.A"), checked_rlock("rec.B")
+    a, b = checked_lock("rec.A"), checked_lock("rec.B")
     with lock_sanitizer():
         assert lock_sanitizer_enabled()
         with a:
@@ -101,17 +105,124 @@ def test_non_reentrant_self_acquire_raises_instead_of_deadlocking():
                 a.acquire()
 
 
-def test_rlock_reentry_is_legal_and_adds_no_self_edge():
-    r = checked_rlock("re.R")
+def test_rwlock_shared_holders_overlap_and_the_writer_waits_for_them():
+    rw = checked_rwlock("rw.overlap")
+    both_in, leave = threading.Barrier(3, timeout=10.0), threading.Event()
+    written = threading.Event()
+
+    def reader():
+        with rw.shared():
+            both_in.wait()  # two shared holders at once, or a timeout
+            assert leave.wait(10.0)
+
+    def writer():
+        with rw.exclusive():
+            written.set()
+
+    readers = [threading.Thread(target=reader) for _ in range(2)]
+    for thread in readers:
+        thread.start()
+    both_in.wait()
+    late = threading.Thread(target=writer)
+    late.start()
+    assert not written.wait(0.1)  # the readers still hold the lock
+    leave.set()
+    for thread in readers + [late]:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert written.is_set()
+
+
+def test_rwlock_waiting_writer_blocks_new_readers():
+    rw = checked_rwlock("rw.fair")
+    order = []
+    release = threading.Event()
+
+    def first_reader():
+        with rw.shared():
+            assert release.wait(10.0)
+        order.append("reader-1")
+
+    def writer():
+        with rw.exclusive():
+            order.append("writer")
+
+    def late_reader():
+        with rw.shared():
+            order.append("reader-2")
+
+    holder = threading.Thread(target=first_reader)
+    holder.start()
+    deadline = time.perf_counter() + 10.0
+    while not rw._readers:
+        assert time.perf_counter() < deadline
+        time.sleep(0.001)
+    waiting = threading.Thread(target=writer)
+    waiting.start()
+    while not rw._writers_waiting:
+        assert time.perf_counter() < deadline
+        time.sleep(0.001)
+    late = threading.Thread(target=late_reader)
+    late.start()
+    time.sleep(0.05)
+    assert order == []  # the late reader queued behind the waiting writer
+    release.set()
+    for thread in (holder, waiting, late):
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert order.index("writer") < order.index("reader-2")
+
+
+@pytest.mark.parametrize("first,second", [
+    ("shared", "shared"), ("shared", "exclusive"),
+    ("exclusive", "shared"), ("exclusive", "exclusive"),
+])
+def test_rwlock_reentry_and_upgrade_raise_instead_of_deadlocking(first, second):
+    rw = checked_rwlock("rw.self")
     with lock_sanitizer():
-        with r:
-            with r:
-                # One stack entry per acquire keeps release bookkeeping
-                # balanced across reentrant holds.
-                assert held_locks() == ("re.R", "re.R")
-            assert held_locks() == ("re.R",)
+        with getattr(rw, first)():
+            with pytest.raises(LockOrderError, match="self-deadlock"):
+                getattr(rw, second)().acquire()
+        assert held_locks() == () and held_shared() == ()
+    # Released cleanly: both sides are free again.
+    with rw.exclusive():
+        pass
+
+
+def test_rwlock_tracks_its_side_on_the_held_stack():
+    rw, inner = checked_rwlock("rw.stack"), checked_lock("rw.inner")
+    with lock_sanitizer():
+        with rw.shared():
+            assert held_locks() == ("rw.stack",)
+            assert held_shared() == ("rw.stack",)
+            with inner:
+                pass
+        with rw.exclusive():
+            assert held_locks() == ("rw.stack",)
+            assert held_shared() == ()
         assert held_locks() == ()
-    assert "re.R" not in lock_order_edges().get("re.R", ())
+        # Both sides are one node of the order graph.
+        with inner:
+            with pytest.raises(LockOrderError, match="lock-order inversion"):
+                rw.exclusive().acquire()
+
+
+def test_region_guarded_by_rwlock_needs_the_exclusive_side():
+    rw = checked_rwlock("reg.rw")
+    region = register_shared_region("reg.rwstate", guard="reg.rw")
+    with lock_sanitizer():
+        with rw.exclusive():
+            with region:
+                pass
+        assert concurrency_findings() == []
+        with rw.shared():
+            with region:
+                pass
+    findings = concurrency_findings()
+    assert [(f.kind, f.region) for f in findings] == [
+        ("unguarded-write", "reg.rwstate")
+    ]
+    assert "shared side" in findings[0].detail
 
 
 def test_condition_wait_releases_the_held_name():
@@ -242,5 +353,5 @@ def test_context_manager_restores_previous_setting():
 
 def test_checked_wrappers_expose_names_and_types():
     assert isinstance(checked_lock("t.L"), CheckedLock)
-    assert isinstance(checked_rlock("t.R"), CheckedRLock)
+    assert isinstance(checked_rwlock("t.RW"), CheckedRWLock)
     assert checked_condition("t.C").name == "t.C"
