@@ -151,7 +151,7 @@ def bench_index_sweep(smoke: bool, dim: int = 32, k: int = 10,
         repeats = 3 if pool_size >= 500_000 else 5
         exact = ExactIndex(block_size=16).build(vectors)
         exact_s = _time(lambda: exact.search(queries, k), repeats)
-        exact_ids = [set(ids.tolist()) for ids, _ in exact.search(queries, k)]
+        exact_ids = [set(ids.tolist()) for ids, _ in exact.search(queries, k)[0]]
         entry: Dict[str, object] = {
             "pool_size": pool_size,
             "exact": {
@@ -166,7 +166,7 @@ def bench_index_sweep(smoke: bool, dim: int = 32, k: int = 10,
             with Timer() as build_timer:
                 index.build(vectors)
             search_s = _time(lambda: index.search(queries, k), repeats)
-            found = index.search(queries, k)
+            found, candidates = index.search(queries, k)
             recall = float(np.mean([
                 len(exact_ids[j] & set(ids.tolist())) / k
                 for j, (ids, _) in enumerate(found)
@@ -177,7 +177,7 @@ def bench_index_sweep(smoke: bool, dim: int = 32, k: int = 10,
                 "search_s": search_s,
                 "speedup_vs_exact": exact_s / search_s if search_s > 0 else float("inf"),
                 "recall_at_k": recall,
-                "scored_per_query": index.last_candidates // num_queries,
+                "scored_per_query": candidates // num_queries,
             }
         pools.append(entry)
     return {

@@ -23,6 +23,7 @@ from repro.nn.module import Module, ModuleList
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sampling.adjacency import sample_uniform_neighbors
+from repro.sampling.neighbor_sampler import sample_blocks
 from repro.sampling.random_walk import _merged_csr
 from repro.utils.rng import SeedLike, as_rng, spawn_rng
 
@@ -44,16 +45,12 @@ class _SageEncoder(Module):
         self._rng = spawn_rng(rng)
 
     def forward(self, nodes: np.ndarray) -> Tensor:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        layers = [nodes]
-        frontier = nodes
-        for fanout in self.fanouts:
-            sampled = sample_uniform_neighbors(
-                self._indptr, self._indices, frontier.reshape(-1), fanout, self._rng
-            )
-            frontier = sampled.reshape(len(nodes), -1)
-            layers.append(frontier)
-        return aggregate_layers(layers, self.fanouts, self.features, self.aggregators)
+        blocks = sample_blocks(
+            nodes, self.fanouts,
+            lambda hop, frontier, fanout: sample_uniform_neighbors(
+                self._indptr, self._indices, frontier, fanout, self._rng),
+        )
+        return aggregate_layers(blocks, self.features, self.aggregators)
 
 
 class GraphSage(SingleEmbeddingModel):

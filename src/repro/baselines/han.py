@@ -103,8 +103,8 @@ class HANModule(Module):
     # ------------------------------------------------------------------
     def _path_embedding(self, nodes: np.ndarray, index: int) -> Tensor:
         sampler = self._samplers[index]
-        layers = sampler.sample_layers(nodes)
-        neighbors = layers[-1].reshape(len(nodes), -1)  # terminal metapath neighbors
+        # Terminal metapath neighbors, one row per batch entry.
+        neighbors = sampler.sample_layers(nodes).expand(len(sampler.fanouts))
         return self.node_attention[index](
             self.features(nodes), self.features(neighbors)
         )

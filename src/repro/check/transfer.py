@@ -3,7 +3,8 @@
 Every differentiable ``Tensor`` op — discovered through the gradcheck
 registry's :func:`repro.verify.gradcheck.tensor_ops`, exactly the surface
 lint rule R006 polices — plus the module-level functionals (``concat``,
-``stack``, ``embedding_lookup``, ``sparse_matmul``, ``where``) must have
+``stack``, ``embedding_lookup``, ``gather_rows``, ``sparse_matmul``,
+``where``) must have
 a transfer rule registered here.  :func:`uncovered_transfer_rules`
 mirrors the registry's ``uncovered_targets()``: a new differentiable op
 without a transfer rule is a test failure, not a silent gap.
@@ -55,6 +56,7 @@ FUNCTIONAL_OPS: Tuple[str, ...] = (
     "concat",
     "stack",
     "embedding_lookup",
+    "gather_rows",
     "sparse_matmul",
     "where",
 )
@@ -221,6 +223,16 @@ def _embedding_lookup(ctx: OpContext) -> TensorSpec:
     # Rows of a 2-D table, or slices of a stacked (S, d_in, d_out) weight.
     indices = ctx.resymbolize(ctx.attrs["indices_shape"])
     return TensorSpec(ShapeSpec(indices.dims + weight.shape.dims[1:]), weight.dtype)
+
+
+@transfer_rule("gather_rows")
+def _gather_rows(ctx: OpContext) -> TensorSpec:
+    (x,) = ctx.inputs
+    if x.shape.rank < 1:
+        raise SpecError(f"gather_rows input must be at least 1-D, got {x.shape.render()}")
+    # Rows of x with its leading axes flattened; the last axis is kept.
+    index = ctx.resymbolize(ctx.attrs["index_shape"])
+    return TensorSpec(ShapeSpec(index.dims + x.shape.dims[-1:]), x.dtype)
 
 
 # ---------------------------------------------------------------------------

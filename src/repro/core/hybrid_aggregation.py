@@ -1,7 +1,8 @@
 """Hybrid aggregation flows (Sect. III-C, Eqs. 3-5).
 
 A *flow* turns a batch of nodes into edge embeddings by recursively
-aggregating a layered, fixed-fanout neighborhood:
+aggregating a fixed-fanout neighborhood, sampled hop by hop as blocks of
+unique nodes (:mod:`repro.sampling.neighbor_sampler`):
 
     h^{(k)}_{v|P} = AGG_P(h^{(k-1)}_{v|P}, {h^{(k-1)}_{u|P} : u in N^{K-k+1}_P(v)})
 
@@ -28,52 +29,69 @@ from repro.graph.schema import MetapathScheme
 from repro.nn.aggregators import make_aggregator
 from repro.nn.layers import Embedding
 from repro.nn.module import Module, ModuleList
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, gather_rows
 from repro.sampling.adjacency import TypedAdjacencyCache, sample_uniform_neighbors
 from repro.sampling.exploration import RandomizedExploration
-from repro.sampling.neighbor_sampler import MetapathNeighborSampler
+from repro.sampling.neighbor_sampler import (
+    Blocks,
+    MetapathNeighborSampler,
+    sample_blocks,
+    stack_blocks,
+)
 from repro.utils.rng import SeedLike, as_rng, slice_rngs, spawn_rng
 
 
 def aggregate_layers(
-    layers: Sequence[np.ndarray],
-    fanouts: Sequence[int],
+    blocks: Blocks,
     features: Embedding,
     aggregators: ModuleList,
     rows: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Collapse layered neighborhoods into one embedding per batch node.
+    """Collapse per-hop blocks into one embedding per batch entry.
 
-    ``layers[j]`` holds node ids of shape ``lead + (prod(fanouts[:j]),)``
-    (layer 0 may omit the last axis), where ``lead`` is ``(B,)``, or
-    ``(S, B)`` for stacked aggregators; sweep k collapses the deepest
-    remaining layer into its parents using ``aggregators[k]``, realising
-    the recursion of Eq. 3.  Activations stay flat, ``(..., rows, d)``, so
-    a stacked aggregator is one batched GEMM per call.  Returns
-    ``lead + (d,)``.  ``rows`` is passed on to stacked aggregators.
+    ``blocks`` (:class:`~repro.sampling.neighbor_sampler.Blocks`) carries
+    a leading axis of S for stacked aggregators.  Every node of every
+    level is looked up once, as one sorted unique ``features`` call; sweep
+    k then computes h^(k+1) once per unique node of each level that still
+    has a deeper one, from its own h^(k) and its children's, gathered
+    through the block's row numbers (the recursion of Eq. 3).  Activations
+    stay ``(..., rows, d)``, so a stacked aggregator is one batched GEMM
+    per call.  Returns ``batch.shape + (d,)``; ``rows`` is passed on to
+    stacked aggregators.
     """
-    depth = len(layers) - 1
+    depth = len(blocks.children)
     assert len(aggregators) == depth, "one aggregator per sweep"
-    stack = layers[0].shape[:-1]
-    embeddings = [features(layer.reshape(stack + (-1,))) for layer in layers]
-    for k in range(depth):
-        aggregator = aggregators[k]
-        collapsed = []
-        for j in range(len(embeddings) - 1):
-            parent = embeddings[j]
-            child = embeddings[j + 1].reshape(parent.shape[:-1] + (fanouts[j], -1))
-            collapsed.append(aggregator(parent, child, rows=rows))
-        embeddings = collapsed
-    return embeddings[0]
+    ids, where = np.unique(np.concatenate([level.reshape(-1) for level in blocks.nodes]),
+                           return_inverse=True)
+    offsets = np.cumsum([level.size for level in blocks.nodes])[:-1]
+    where = [w.reshape(level.shape)
+             for w, level in zip(np.split(where, offsets), blocks.nodes)]
+    table = features(ids)
+    # Sweep 0 reads parents and children straight from the table.
+    hidden = [
+        aggregators[0](
+            gather_rows(table, where[j]),
+            gather_rows(table, where[j + 1].reshape(-1)[blocks.children[j]]),
+            rows=rows,
+        )
+        for j in range(depth)
+    ]
+    for k in range(1, depth):
+        hidden = [
+            aggregators[k](hidden[j], gather_rows(hidden[j + 1], blocks.children[j]),
+                           rows=rows)
+            for j in range(depth - k)
+        ]
+    return gather_rows(hidden[0], blocks.batch)
 
 
 class MetapathFlow(Module):
     """Metapath-guided flows (Eq. 3), one per relationship, run stacked.
 
     ``schemes`` holds one scheme per stacked relationship; they share a
-    start type and a length, so their sampled layers stack to
-    ``(S, B, ...)`` and each sweep is one batched aggregation with
-    ``(S, d_in, d_out)`` weights.  Each scheme samples with its own
+    start type and a length, so their per-hop blocks stack
+    (:func:`~repro.sampling.neighbor_sampler.stack_blocks`) and each
+    sweep is one batched aggregation with ``(S, d_in, d_out)`` weights.  Each scheme samples with its own
     sampler; ``rng`` may be a list of one generator per scheme.
     ``forward`` returns ``(S, B, d)``; ``rows`` runs a subset.
     ``generators`` holds the samplers' generators.
@@ -122,9 +140,8 @@ class MetapathFlow(Module):
 
     def forward(self, nodes: np.ndarray, rows: Optional[np.ndarray] = None) -> Tensor:
         samplers = self._samplers if rows is None else [self._samplers[i] for i in rows]
-        sampled = [sampler.sample_layers(nodes) for sampler in samplers]
-        layers = [np.stack(layer) for layer in zip(*sampled)]
-        return aggregate_layers(layers, self.fanouts, self._features, self.aggregators, rows)
+        blocks = stack_blocks([sampler.sample_layers(nodes) for sampler in samplers])
+        return aggregate_layers(blocks, self._features, self.aggregators, rows)
 
 
 class ExplorationFlow(Module):
@@ -155,8 +172,8 @@ class ExplorationFlow(Module):
         )
 
     def forward(self, nodes: np.ndarray) -> Tensor:
-        layers = self._exploration.sample_layers(nodes, self.depth, self.fanouts)
-        return aggregate_layers(layers, self.fanouts, self._features, self.aggregators)
+        blocks = self._exploration.sample_layers(nodes, self.depth, self.fanouts)
+        return aggregate_layers(blocks, self._features, self.aggregators)
 
 
 class RandomNeighborFlow(Module):
@@ -193,18 +210,19 @@ class RandomNeighborFlow(Module):
     def labels(self) -> List[str]:
         return [self.label] * len(self.relations)
 
+    def _blocks(self, index: int, nodes: np.ndarray) -> Blocks:
+        indptr, indices = self._csr[index]
+        generator = self.generators[index]
+        return sample_blocks(
+            nodes, self.fanouts,
+            lambda hop, frontier, fanout: sample_uniform_neighbors(
+                indptr, indices, frontier, fanout, generator),
+        )
+
     def forward(self, nodes: np.ndarray, rows: Optional[np.ndarray] = None) -> Tensor:
-        nodes = np.asarray(nodes, dtype=np.int64)
         picked = range(len(self.relations)) if rows is None else rows
-        layers = [np.tile(nodes, (len(picked), 1))]
-        for fanout in self.fanouts:
-            layers.append(np.stack([
-                sample_uniform_neighbors(
-                    *self._csr[i], frontier.reshape(-1), fanout, self.generators[i]
-                ).reshape(len(nodes), -1)
-                for i, frontier in zip(picked, layers[-1])
-            ]))
-        return aggregate_layers(layers, self.fanouts, self._features, self.aggregators, rows)
+        blocks = stack_blocks([self._blocks(i, nodes) for i in picked])
+        return aggregate_layers(blocks, self._features, self.aggregators, rows)
 
 
 class FlowGroup(Module):

@@ -10,13 +10,23 @@ Two artifact kinds:
   downstream serving system needs.
 
 Both use ``numpy.savez_compressed`` — a single portable file, no pickle.
+Every archive (these two and :func:`~repro.serving.index.save_index`) is
+written through :func:`write_archive`: a temporary file in the target's
+directory, renamed over the target once complete, so a crash mid-write
+never leaves a truncated archive under the target's name.  Every load
+goes through :func:`read_archive`, which turns a truncated, corrupt or
+missing file into a :class:`~repro.errors.ReproError` naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
+import zipfile
+import zlib
 from pathlib import Path
-from typing import Dict, Sequence, Union
+from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +59,50 @@ def _existing_npz_path(path: Union[str, Path]) -> Path:
     return normalised if normalised.exists() else path
 
 
+def write_archive(path: Union[str, Path], arrays: Mapping[str, np.ndarray]) -> Path:
+    """Write ``arrays`` as a compressed .npz at ``path``, atomically.
+
+    The archive is written and synced under a temporary name in the
+    target's directory, then ``os.replace``-d onto the target; on any
+    failure the temporary file is removed and an existing target is left
+    as it was.  Returns the path written (``.npz`` appended when missing).
+    """
+    target = _as_npz_path(path)
+    temporary = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(temporary, "xb") as handle:
+            np.savez_compressed(handle, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    return target
+
+
+#: What numpy and zipfile raise on a missing, truncated or corrupt archive.
+_READ_ERRORS = (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
+def read_archive(path: Union[str, Path], kind: str) -> Dict[str, np.ndarray]:
+    """Every array of the .npz at ``path``, read eagerly.
+
+    A missing suffix is normalised as a save normalises it.  A missing,
+    truncated or corrupt file raises :class:`ReproError` naming the file
+    and ``kind`` (what the caller expected to find there).
+    """
+    source = _existing_npz_path(path)
+    try:
+        with np.load(source, allow_pickle=False) as data:
+            return {key: data[key] for key in data.files}
+    except _READ_ERRORS as exc:
+        raise ReproError(
+            f"cannot read {kind} {source}: the file is missing, truncated or "
+            f"corrupt ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def _check_reserved_keys(keys, what: str) -> None:
     if _META_KEY in keys:
         raise ReproError(
@@ -66,9 +120,7 @@ def save_checkpoint(model: Module, path: Union[str, Path]) -> Path:
     _check_reserved_keys(state, "parameter")
     meta = json.dumps({"format": "repro-checkpoint", "version": 1,
                        "parameters": sorted(state)})
-    target = _as_npz_path(path)
-    np.savez_compressed(target, **state, **{_META_KEY: np.asarray(meta)})
-    return target
+    return write_archive(path, {**state, _META_KEY: np.asarray(meta)})
 
 
 def load_checkpoint_into(model: Module, path: Union[str, Path]) -> None:
@@ -78,13 +130,12 @@ def load_checkpoint_into(model: Module, path: Union[str, Path]) -> None:
     shapes) as the one that was saved.  A missing ``.npz`` suffix is
     normalised the same way :func:`save_checkpoint` normalises it.
     """
-    with np.load(_existing_npz_path(path), allow_pickle=False) as data:
-        if _META_KEY not in data:
-            raise ReproError(f"{path} is not a repro checkpoint")
-        meta = json.loads(str(data[_META_KEY]))
-        if meta.get("format") != "repro-checkpoint":
-            raise ReproError(f"{path} is not a repro checkpoint")
-        state = {key: data[key] for key in data.files if key != _META_KEY}
+    state = read_archive(path, "checkpoint")
+    if _META_KEY not in state:
+        raise ReproError(f"{path} is not a repro checkpoint")
+    meta = json.loads(str(state.pop(_META_KEY)))
+    if meta.get("format") != "repro-checkpoint":
+        raise ReproError(f"{path} is not a repro checkpoint")
     # Run the shape checker first: a malformed checkpoint fails here with
     # the offending parameter named and expected-vs-found specs rendered,
     # not as a numpy broadcast error mid-load (or worse, mid-request).
@@ -107,9 +158,7 @@ def export_embeddings(model: RelationEmbedder, num_nodes: int,
     }
     meta = json.dumps({"format": "repro-embeddings", "version": 1,
                        "num_nodes": num_nodes, "relations": list(relations)})
-    target = _as_npz_path(path)
-    np.savez_compressed(target, **arrays, **{_META_KEY: np.asarray(meta)})
-    return target
+    return write_archive(path, {**arrays, _META_KEY: np.asarray(meta)})
 
 
 class EmbeddingStore:
@@ -149,13 +198,10 @@ def load_embeddings(path: Union[str, Path]) -> EmbeddingStore:
 
     A missing ``.npz`` suffix is normalised to match what a save wrote.
     """
-    with np.load(_existing_npz_path(path), allow_pickle=False) as data:
-        if _META_KEY not in data:
-            raise ReproError(f"{path} is not a repro embedding export")
-        meta = json.loads(str(data[_META_KEY]))
-        if meta.get("format") != "repro-embeddings":
-            raise ReproError(f"{path} is not a repro embedding export")
-        tables = {
-            relation: data[relation] for relation in meta["relations"]
-        }
-    return EmbeddingStore(tables)
+    data = read_archive(path, "embedding export")
+    if _META_KEY not in data:
+        raise ReproError(f"{path} is not a repro embedding export")
+    meta = json.loads(str(data[_META_KEY]))
+    if meta.get("format") != "repro-embeddings":
+        raise ReproError(f"{path} is not a repro embedding export")
+    return EmbeddingStore({relation: data[relation] for relation in meta["relations"]})

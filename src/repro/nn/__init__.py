@@ -5,7 +5,8 @@ implementation.  Public surface:
 
 - :class:`~repro.nn.tensor.Tensor` plus the functional ops
   :func:`~repro.nn.tensor.concat`, :func:`~repro.nn.tensor.stack`,
-  :func:`~repro.nn.tensor.embedding_lookup`, :func:`~repro.nn.tensor.where`
+  :func:`~repro.nn.tensor.embedding_lookup`, :func:`~repro.nn.tensor.gather_rows`,
+  :func:`~repro.nn.tensor.where`
 - :class:`~repro.nn.module.Module` / :class:`~repro.nn.module.Parameter`
   containers
 - layers: :class:`Linear`, :class:`Embedding`, :class:`Dropout`,
@@ -21,6 +22,7 @@ from repro.nn.tensor import (
     Tensor,
     concat,
     embedding_lookup,
+    gather_rows,
     sparse_matmul,
     stack,
     where,
@@ -59,6 +61,7 @@ __all__ = [
     "concat",
     "stack",
     "embedding_lookup",
+    "gather_rows",
     "sparse_matmul",
     "where",
     "Module",

@@ -713,6 +713,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     into a compact ``(unique rows, embedding_dim)`` buffer and kept on
     ``weight`` in row form (``torch.nn.Embedding(sparse=True)``), so a
     lookup's backward costs O(len(indices)), not O(num_embeddings).
+    Sorted unique ``indices`` are stored as they are, without that sum.
     """
     indices = np.asarray(indices)
     if not np.issubdtype(indices.dtype, np.integer):
@@ -724,7 +725,12 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
         flat = indices.reshape(-1)
         if flat.size and flat.min() < 0:
             flat = flat % len(table)
-        weight._accumulate_rows(*_sum_rows(flat, grad.reshape((-1,) + table.shape[1:])))
+        values = grad.reshape((-1,) + table.shape[1:])
+        if np.all(flat[1:] > flat[:-1]):
+            # Sorted unique rows (the flows' lookups) are already reduced.
+            weight._accumulate_rows(flat, values)
+        else:
+            weight._accumulate_rows(*_sum_rows(flat, values))
 
     return Tensor._make(
         out_data,
@@ -732,6 +738,32 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
         backward,
         op="embedding_lookup",
         attrs={"indices_shape": tuple(indices.shape)},
+    )
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Differentiable gather of the vectors along ``x``'s last axis.
+
+    ``x`` is read as ``(rows, d)`` with its leading axes flattened, so row
+    ``s * n + i`` of a stacked ``(S, n, d)`` input is ``x[s, i]``.  The
+    result has shape ``index.shape + (d,)``.  Backward scatter-adds each
+    output row into its source row through ``index`` (one ``bincount``,
+    no sort), so duplicated rows are summed where the duplicates arise.
+    """
+    index = np.asarray(index)
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError("gather_rows index must be integers")
+    width = x.shape[-1]
+    out_data = x.data.reshape(-1, width)[index]
+
+    def backward(grad: np.ndarray) -> None:
+        slots = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        sums = np.bincount(slots, weights=grad.reshape(-1), minlength=x.size)
+        x._accumulate(sums.reshape(x.shape))
+
+    return Tensor._make(
+        out_data, (x,), backward, op="gather_rows",
+        attrs={"index_shape": tuple(index.shape)},
     )
 
 

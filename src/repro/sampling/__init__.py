@@ -21,7 +21,12 @@ from repro.sampling.metapath_walk import (
     relationship_walks,
 )
 from repro.sampling.exploration import RandomizedExploration
-from repro.sampling.neighbor_sampler import MetapathNeighborSampler
+from repro.sampling.neighbor_sampler import (
+    Blocks,
+    MetapathNeighborSampler,
+    sample_blocks,
+    stack_blocks,
+)
 from repro.sampling.negative import UnigramNegativeSampler
 from repro.sampling.context import batches, context_pairs, relation_context_pairs
 
@@ -42,6 +47,9 @@ __all__ = [
     "relationship_walks",
     "RandomizedExploration",
     "MetapathNeighborSampler",
+    "Blocks",
+    "sample_blocks",
+    "stack_blocks",
     "UnigramNegativeSampler",
     "context_pairs",
     "relation_context_pairs",

@@ -20,6 +20,7 @@ import numpy as np
 from repro.graph.multiplex import MultiplexHeteroGraph
 from repro.sampling.adjacency import sample_uniform_neighbors
 from repro.sampling.frontier import PAD, run_frontier
+from repro.sampling.neighbor_sampler import Blocks, sample_blocks
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -131,23 +132,20 @@ class RandomizedExploration:
         return path, relations_used
 
     def sample_layers(self, nodes: np.ndarray, depth: int,
-                      fanouts: List[int]) -> List[np.ndarray]:
+                      fanouts: List[int]) -> Blocks:
         """Fixed-size exploration neighborhoods for batched aggregation.
 
-        Layer k (1-based) has shape ``(batch, fanouts[0] * ... * fanouts[k-1])``
-        where each entry is an inter-relationship neighbor of the
-        corresponding entry of layer k-1.  Layer 0 is ``nodes`` itself.
-        These are the N^k_{P_rand} neighborhoods of Eq. 4.
+        Per-hop blocks (:mod:`repro.sampling.neighbor_sampler`): hop k
+        takes ``fanouts[k]`` two-phase steps from each unique level-k
+        node, so every entry of level k+1 is an inter-relationship
+        neighbor of its parent.  These are the N^k_{P_rand}
+        neighborhoods of Eq. 4.
         """
         if depth != len(fanouts):
             raise ValueError(f"need one fanout per level: depth={depth}, fanouts={fanouts}")
-        nodes = np.asarray(nodes, dtype=np.int64)
-        layers = [nodes]
-        frontier = nodes
-        for fanout in fanouts:
-            flat = frontier.reshape(-1)
-            expanded = np.repeat(flat, fanout)
-            next_nodes, _ = self.step(expanded)
-            frontier = next_nodes.reshape(len(nodes), -1)
-            layers.append(frontier)
-        return layers
+
+        def draw(hop: int, frontier: np.ndarray, fanout: int) -> np.ndarray:
+            next_nodes, _ = self.step(np.repeat(frontier, fanout))
+            return next_nodes.reshape(len(frontier), fanout)
+
+        return sample_blocks(nodes, fanouts, draw)

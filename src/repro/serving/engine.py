@@ -515,11 +515,11 @@ class BatchServingEngine:
         index = self._index_for(relation, target_type, "ip", table, pool)
         if index is not None:
             with self.profiler.stage("serving.index_search"):
-                found = index.search(
+                found, candidates = index.search(
                     table[block], k,
                     exclude=self._exclusion_lists(rows, cols, len(block)),
                 )
-            self.stats.count(candidates_scored=index.last_candidates)
+            self.stats.count(candidates_scored=candidates)
             return [(pool[positions], scores) for positions, scores in found]
         if self.index_backend != "exact":
             self.stats.count(exact_fallbacks=len(block))
@@ -634,8 +634,9 @@ class BatchServingEngine:
         query = table[node] / max(probe_norm, 1e-12)
         exclude = [np.asarray([own], dtype=np.int64)] if own >= 0 else None
         with self.profiler.stage("serving.index_search"):
-            positions, _ = index.search(query, k, exclude=exclude)[0]
-        self.stats.count(candidates_scored=index.last_candidates)
+            found, candidates = index.search(query, k, exclude=exclude)
+        self.stats.count(candidates_scored=candidates)
+        positions, _ = found[0]
         if len(positions) == 0:
             return _EMPTY_IDS, _EMPTY_SCORES
         with self.profiler.stage("serving.score"):

@@ -202,12 +202,13 @@ class VectorIndex:
     """Top-K maximum-inner-product retrieval over a fixed vector pool.
 
     ``build(vectors)`` ingests the pool (row ``i`` is pool position ``i``);
-    ``search(queries, k, exclude=...)`` returns one ``(positions, scores)``
-    pair per query, where positions index into the built pool and scores
-    are exact dot products.  ``last_candidates`` reports how many
-    candidates the previous ``search`` actually scored (the sub-linearity
-    measure).  Subclasses must be deterministic functions of
-    (vectors, params, seed).
+    ``search(queries, k, exclude=...)`` returns ``(results, candidates)``:
+    one ``(positions, scores)`` pair per query, where positions index into
+    the built pool and scores are exact dot products, and how many
+    candidates this call actually scored (the sub-linearity measure).
+    The count is returned, not stored, so concurrent searches of one
+    index each read their own.  Subclasses must be deterministic
+    functions of (vectors, params, seed).
     """
 
     backend = "abstract"
@@ -216,7 +217,6 @@ class VectorIndex:
     def __init__(self) -> None:
         self.dim = 0
         self.size = 0
-        self.last_candidates = 0
 
     # -- lifecycle ------------------------------------------------------
     def build(self, vectors: np.ndarray) -> "VectorIndex":
@@ -224,7 +224,7 @@ class VectorIndex:
 
     def search(self, queries: np.ndarray, k: int,
                exclude: Optional[Sequence[Optional[np.ndarray]]] = None
-               ) -> List[Tuple[np.ndarray, np.ndarray]]:
+               ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], int]:
         raise NotImplementedError
 
     # -- persistence ----------------------------------------------------
@@ -299,7 +299,7 @@ class ExactIndex(VectorIndex):
         self._require_built()
         queries = self._as_queries(queries)
         results: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.last_candidates = 0
+        candidates = 0
         for start in range(0, len(queries), self.block_size):
             chunk = queries[start:start + self.block_size]
             if len(chunk) == 1:
@@ -314,9 +314,9 @@ class ExactIndex(VectorIndex):
                     excluded = exclude[start + j]
                     if excluded is not None and len(excluded):
                         scores[j, excluded] = -np.inf
-            self.last_candidates += int(np.count_nonzero(scores > -np.inf))
+            candidates += int(np.count_nonzero(scores > -np.inf))
             results.extend(_stable_topk_block(scores, None, k))
-        return results
+        return results, candidates
 
     def state_arrays(self):
         return {"vectors": self._vectors}
@@ -431,7 +431,7 @@ class IVFIndex(VectorIndex):
         else:
             probes = np.broadcast_to(np.arange(nlist), affinity.shape).copy()
         results: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.last_candidates = 0
+        candidates = 0
         for j in range(len(queries)):
             # Contiguous cluster slices: scoring is a few dgemv calls over
             # resident memory, never a row gather of the full pool.
@@ -451,9 +451,9 @@ class IVFIndex(VectorIndex):
             )
             excluded = None if exclude is None else exclude[j]
             positions, scores = self._drop_excluded(positions, scores, excluded)
-            self.last_candidates += len(positions)
+            candidates += len(positions)
             results.append(_stable_topk_ids(scores, positions, k))
-        return results
+        return results, candidates
 
     def state_arrays(self):
         return {
@@ -674,9 +674,9 @@ class HNSWIndex(VectorIndex):
         self._require_built()
         queries = self._as_queries(queries)
         results: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.last_candidates = 0
+        candidates = 0
         if self.size == 0 or self._entry < 0:
-            return [(_EMPTY_IDS, _EMPTY_SCORES)] * len(queries)
+            return [(_EMPTY_IDS, _EMPTY_SCORES)] * len(queries), candidates
         zeros = np.zeros((len(queries), 1))
         augmented = np.concatenate(
             [np.asarray(queries, dtype=np.float64), zeros], axis=1
@@ -694,9 +694,9 @@ class HNSWIndex(VectorIndex):
             positions = np.asarray([n for _, n in found], dtype=np.int64)
             scores = self._vectors[positions] @ queries[j]
             positions, scores = self._drop_excluded(positions, scores, excluded)
-            self.last_candidates += len(positions)
+            candidates += len(positions)
             results.append(_stable_topk_ids(scores, positions, k))
-        return results
+        return results, candidates
 
     def state_arrays(self):
         arrays = {
@@ -770,7 +770,7 @@ def save_index(index: VectorIndex, path: Union[str, Path],
 
     Returns the path actually written (``.npz`` appended when missing).
     """
-    from repro.core.persistence import _as_npz_path
+    from repro.core.persistence import write_archive
 
     meta = index.meta()
     if extra_meta:
@@ -780,11 +780,9 @@ def save_index(index: VectorIndex, path: Union[str, Path],
         raise ReproError(
             f"index state may not use the reserved key {_INDEX_META_KEY!r}"
         )
-    target = _as_npz_path(path)
-    np.savez_compressed(
-        target, **arrays, **{_INDEX_META_KEY: np.asarray(json.dumps(meta))}
+    return write_archive(
+        path, {**arrays, _INDEX_META_KEY: np.asarray(json.dumps(meta))}
     )
-    return target
 
 
 def load_index(path: Union[str, Path]) -> Tuple[VectorIndex, Dict[str, object]]:
@@ -794,17 +792,14 @@ def load_index(path: Union[str, Path]) -> Tuple[VectorIndex, Dict[str, object]]:
     engine should validate ``meta`` against the current table/pool first
     (see :func:`repro.check.state.verify_index`).
     """
-    from repro.core.persistence import _existing_npz_path
+    from repro.core.persistence import read_archive
 
-    with np.load(_existing_npz_path(path), allow_pickle=False) as data:
-        if _INDEX_META_KEY not in data:
-            raise ReproError(f"{path} is not a repro vector index")
-        meta = json.loads(str(data[_INDEX_META_KEY]))
-        if meta.get("format") != _INDEX_FORMAT:
-            raise ReproError(f"{path} is not a repro vector index")
-        arrays = {
-            key: data[key] for key in data.files if key != _INDEX_META_KEY
-        }
+    arrays = read_archive(path, "vector index")
+    if _INDEX_META_KEY not in arrays:
+        raise ReproError(f"{path} is not a repro vector index")
+    meta = json.loads(str(arrays.pop(_INDEX_META_KEY)))
+    if meta.get("format") != _INDEX_FORMAT:
+        raise ReproError(f"{path} is not a repro vector index")
     index = make_index(meta["backend"], **meta.get("params", {}))
     index.load_state_arrays(arrays)
     return index, meta

@@ -734,6 +734,16 @@ def _case_embedding_lookup(rng):
     return (lambda: embedding_lookup(weight, idx).sum()), [weight], ["weight"]
 
 
+@register("functional.gather_rows", targets=("gather_rows",))
+def _case_gather_rows(rng):
+    from repro.nn.tensor import gather_rows
+
+    x = _t(rng, 2, 3, 4)  # stacked: flat row s * 3 + i is x[s, i]
+    idx = np.asarray([[0, 2, 2], [5, 3, 5]])  # repeated rows exercise scatter-add
+    weights = rng.standard_normal((2, 3, 4))
+    return (lambda: (gather_rows(x, idx) * Tensor(weights)).sum()), [x], ["x"]
+
+
 @register("functional.sparse_matmul", targets=("sparse_matmul",))
 def _case_sparse_matmul(rng):
     from scipy import sparse

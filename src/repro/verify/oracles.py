@@ -832,7 +832,7 @@ def index_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         sources, relation, target_type, True
     )
     exact_index = make_index("exact").build(table[pool])
-    found = exact_index.search(
+    found, _ = exact_index.search(
         table[sources], k,
         exclude=BatchServingEngine._exclusion_lists(rows, cols, len(sources)),
     )
@@ -874,8 +874,8 @@ def index_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         index = make_index(backend, seed=seed).build(table[pool])
         with tempfile.TemporaryDirectory() as tmp:
             loaded, _ = load_index(save_index(index, Path(tmp) / backend))
-        before = index.search(queries, k)
-        after = loaded.search(queries, k)
+        before, _ = index.search(queries, k)
+        after, _ = loaded.search(queries, k)
         for (a_ids, a_scores), (b_ids, b_scores) in zip(before, after):
             if (not np.array_equal(a_ids, b_ids)
                     or not np.array_equal(a_scores, b_scores)):

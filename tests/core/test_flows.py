@@ -12,6 +12,7 @@ from repro.core.hybrid_aggregation import (
     aggregate_layers,
 )
 from repro.nn import Embedding, MeanAggregator, ModuleList
+from repro.sampling import Blocks
 
 
 @pytest.fixture
@@ -19,30 +20,65 @@ def features():
     return Embedding(200, 6, rng=0)
 
 
+def chain_blocks(widths, fanouts, batch=None):
+    """Blocks whose level j holds ``widths[j]`` fresh ids; each level-j
+    node's children are consecutive rows of level j+1, wrapping around."""
+    starts = np.cumsum([0] + list(widths))
+    nodes = [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    children = [np.arange(w * f).reshape(w, f) % nxt
+                for w, f, nxt in zip(widths, fanouts, widths[1:])]
+    batch = np.arange(widths[0]) if batch is None else np.asarray(batch)
+    return Blocks(nodes, children, batch)
+
+
+class RecordingFeatures(Embedding):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def forward(self, indices):
+        self.calls.append(np.asarray(indices).copy())
+        return super().forward(indices)
+
+
 class TestAggregateLayers:
     def test_output_shape(self, features):
-        layers = [
-            np.arange(4),
-            np.arange(12).reshape(4, 3),
-            np.arange(24).reshape(4, 6),
-        ]
         aggs = ModuleList([MeanAggregator(6, 6, rng=0), MeanAggregator(6, 6, rng=1)])
-        out = aggregate_layers(layers, [3, 2], features, aggs)
+        out = aggregate_layers(chain_blocks([4, 12, 24], [3, 2]), features, aggs)
         assert out.shape == (4, 6)
 
     def test_single_hop(self, features):
-        layers = [np.arange(5), np.arange(15).reshape(5, 3)]
         aggs = ModuleList([MeanAggregator(6, 6, rng=0)])
-        out = aggregate_layers(layers, [3], features, aggs)
+        out = aggregate_layers(chain_blocks([5, 15], [3]), features, aggs)
         assert out.shape == (5, 6)
 
     def test_gradients_reach_feature_table(self, features):
-        layers = [np.arange(3), np.arange(9).reshape(3, 3)]
         aggs = ModuleList([MeanAggregator(6, 6, rng=0)])
-        out = aggregate_layers(layers, [3], features, aggs)
+        out = aggregate_layers(chain_blocks([3, 9], [3]), features, aggs)
         out.sum().backward()
         assert features.weight.grad is not None
         assert np.any(features.weight.grad != 0)
+
+    def test_repeated_batch_entries_share_one_row(self, features):
+        aggs = ModuleList([MeanAggregator(6, 6, rng=0), MeanAggregator(6, 6, rng=1)])
+        out = aggregate_layers(chain_blocks([3, 6, 4], [2, 2], batch=[2, 0, 2, 1, 0]),
+                               features, aggs).data
+        np.testing.assert_array_equal(out[0], out[2])
+        np.testing.assert_array_equal(out[1], out[4])
+        assert not np.array_equal(out[0], out[1])
+
+    def test_one_sorted_unique_lookup_whose_gradient_skips_reduction(self):
+        features = RecordingFeatures(200, 6, rng=0)
+        blocks = chain_blocks([3, 6, 4], [2, 2])
+        # Overlapping levels: level 2 reuses level 0's ids.
+        blocks = blocks._replace(nodes=blocks.nodes[:2] + [np.arange(4)])
+        aggs = ModuleList([MeanAggregator(6, 6, rng=0), MeanAggregator(6, 6, rng=1)])
+        aggregate_layers(blocks, features, aggs).sum().backward()
+        (ids,) = features.calls
+        np.testing.assert_array_equal(ids, np.arange(9))
+        rows, values = features.weight.grad_rows()
+        np.testing.assert_array_equal(rows, ids)
+        assert values.shape == (9, 6)
 
 
 class TestMetapathFlow:

@@ -44,32 +44,52 @@ def test_one_taobao_xl_step_builds_at_most_175_ops():
 
 
 def test_slice_equals_per_relationship_flow_by_hand(taobao_dataset):
-    """Slice r of a stacked flow is relationship r's own flow (Eq. 3)."""
+    """Slice r of a stacked flow is relationship r's own flow (Eq. 3),
+    computed once per unique node of each hop's block."""
+    graph = taobao_dataset.graph
+    relations = list(graph.schema.relationships)
+    schemes = [taobao_dataset.schemes_for(r)[0] for r in relations]
+    features = Embedding(graph.num_nodes, 4, rng=0)
+    flow = MetapathFlow(graph, schemes, features, 4, (3, 2), rng=0)
+    nodes = np.concatenate([graph.nodes_of_type("user")[:6]] * 2)[::-1]
+    r = 2
+    state = flow._samplers[r]._rng.bit_generator.state
+    stacked = flow(nodes).data
+    flow._samplers[r]._rng.bit_generator.state = state
+    blocks = flow._samplers[r].sample_layers(nodes)
+
+    table = features.weight.data
+    hidden = [table[level] for level in blocks.nodes]
+    for k, aggregator in enumerate(flow.aggregators):
+        weight = aggregator.combine.weight.data[r]  # (2d + 1, d): bias last
+        collapsed = []
+        for j in range(len(hidden) - 1):
+            pooled = hidden[j + 1][blocks.children[j]].mean(axis=1)
+            merged = np.concatenate([hidden[j], pooled], axis=1)
+            collapsed.append(np.maximum(merged @ weight[:-1] + weight[-1], 0.0))
+        hidden = collapsed
+    assert stacked.shape == (len(relations), len(nodes), 4)
+    np.testing.assert_allclose(stacked[r], hidden[0][blocks.batch], rtol=1e-12, atol=1e-12)
+
+
+def test_padded_stack_slots_add_no_gradient_rows(taobao_dataset):
+    """The feature gradient covers exactly the nodes some slice sampled."""
     graph = taobao_dataset.graph
     relations = list(graph.schema.relationships)
     schemes = [taobao_dataset.schemes_for(r)[0] for r in relations]
     features = Embedding(graph.num_nodes, 4, rng=0)
     flow = MetapathFlow(graph, schemes, features, 4, (3, 2), rng=0)
     nodes = graph.nodes_of_type("user")[:6]
-    r = 2
-    state = flow._samplers[r]._rng.bit_generator.state
-    stacked = flow(nodes).data
-    flow._samplers[r]._rng.bit_generator.state = state
-    layers = flow._samplers[r].sample_layers(nodes)
-
-    table = features.weight.data
-    embeddings = [table[layer.reshape(-1)] for layer in layers]
-    for k, aggregator in enumerate(flow.aggregators):
-        weight = aggregator.combine.weight.data[r]  # (2d + 1, d): bias last
-        collapsed = []
-        for j in range(len(embeddings) - 1):
-            parent = embeddings[j]
-            pooled = embeddings[j + 1].reshape(len(parent), flow.fanouts[j], -1).mean(axis=1)
-            merged = np.concatenate([parent, pooled], axis=1)
-            collapsed.append(np.maximum(merged @ weight[:-1] + weight[-1], 0.0))
-        embeddings = collapsed
-    assert stacked.shape == (len(relations), len(nodes), 4)
-    np.testing.assert_allclose(stacked[r], embeddings[0], rtol=1e-12, atol=1e-12)
+    states = [sampler._rng.bit_generator.state for sampler in flow._samplers]
+    flow(nodes).sum().backward()
+    sampled = []
+    for sampler, state in zip(flow._samplers, states):
+        sampler._rng.bit_generator.state = state
+        sampled += sampler.sample_layers(nodes).nodes
+    widths = {len(level) for level in sampled[1::3]}
+    assert len(widths) > 1, "the slices must differ in width for padding to occur"
+    rows, _ = features.weight.grad_rows()
+    np.testing.assert_array_equal(rows, np.unique(np.concatenate(sampled)))
 
 
 @pytest.mark.parametrize("overrides", [{}, {"use_relationship_attention": False}])

@@ -19,6 +19,7 @@ from repro.core import HybridGNN
 from repro.core.persistence import load_checkpoint_into
 from repro.errors import CheckError, SanitizerError
 from repro.nn import SGD, Adam, Linear, Module, Parameter, Tensor, sanitize
+from repro.nn import tensor as tensor_module
 from repro.nn.tensor import embedding_lookup
 
 
@@ -61,9 +62,11 @@ def lookup_loss(lookup, weight: Tensor, index_sets, dense_term: bool = False) ->
 @pytest.fixture
 def index_sets():
     rng = np.random.default_rng(3)
-    # Repeated indices within and across lookups, several shapes.
+    # Repeated indices within and across lookups, several shapes, and one
+    # sorted unique lookup (the flows' kind, stored without a row sum).
     return [rng.integers(0, 40, size=(32, 3)), rng.integers(0, 40, size=64),
-            rng.integers(0, 10, size=(4, 5, 6))]
+            rng.integers(0, 10, size=(4, 5, 6)),
+            np.unique(rng.integers(0, 40, size=24))]
 
 
 class TestSharedParameters:
@@ -120,6 +123,17 @@ class TestRowSparseGradient:
         embedding_lookup(weight, np.array([-1, 4, 0])).sum().backward()
         np.testing.assert_array_equal(weight.grad[:, 0], [1.0, 0.0, 0.0, 0.0, 2.0])
         np.testing.assert_array_equal(weight.grad_rows()[0], [0, 4])
+
+    def test_sorted_unique_indices_are_stored_without_a_row_sum(self, monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("sorted unique indices need no row sum")
+
+        monkeypatch.setattr(tensor_module, "_sum_rows", no_sum)
+        weight = Parameter(np.ones((6, 2)))
+        (embedding_lookup(weight, np.array([[1, 3], [4, 5]])) * 2.0).sum().backward()
+        rows, values = weight.grad_rows()
+        np.testing.assert_array_equal(rows, [1, 3, 4, 5])
+        np.testing.assert_array_equal(values, np.full((4, 2), 2.0))
 
     def test_zero_grad_and_assignment_clear_the_rows(self, index_sets):
         weight = Parameter(np.zeros((40, 4)))

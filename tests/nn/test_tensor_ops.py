@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from repro.errors import AutogradError, ShapeError
-from repro.nn import Tensor, concat, embedding_lookup, sparse_matmul, stack, where
+from repro.nn import (
+    Tensor,
+    concat,
+    embedding_lookup,
+    gather_rows,
+    sparse_matmul,
+    stack,
+    where,
+)
 from repro.verify.gradcheck import check_gradients
 
 
@@ -217,6 +225,23 @@ class TestSpecialOps:
         weight = make((3, 2), 1)
         with pytest.raises(ShapeError):
             embedding_lookup(weight, np.asarray([0.5]))
+
+    def test_gather_rows_addresses_flattened_rows(self):
+        x = make((2, 3, 4), 1)
+        idx = np.asarray([[0, 4], [5, 5]])
+        out = gather_rows(x, idx)
+        assert out.shape == (2, 2, 4)
+        np.testing.assert_array_equal(out.data[1, 0], x.data[1, 2])
+        check_gradients(lambda: (gather_rows(x, idx) * gather_rows(x, idx)).sum(), [x])
+
+    def test_gather_rows_scatter_adds_repeated_rows(self):
+        x = make((3, 2), 1)
+        gather_rows(x, np.asarray([2, 0, 2, 2])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
+
+    def test_gather_rows_rejects_float_indices(self):
+        with pytest.raises(ShapeError):
+            gather_rows(make((3, 2), 1), np.asarray([0.5]))
 
     def test_where(self):
         a, b = make((3, 4), 1), make((3, 4), 2)

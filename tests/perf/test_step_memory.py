@@ -1,11 +1,14 @@
 """Per-step memory of HybridGNN training does not grow with |V|.
 
 One seeded batch is run through ``loss.backward()`` and ``Adam.step()``
-on the ``taobao-xl`` alike at two sizes ten times apart.  Row-sparse
-embedding gradients and row-wise Adam touch O(batch) rows, so the
-tracemalloc peaks of the two steps must stay within 1.25x of each other;
-a single |V|-row scratch buffer at 3e4 nodes would break the bound.  The
-bound is on bytes, not time, so it is deterministic.
+on the ``taobao-xl`` alike at 3e4 and 1e5 nodes.  Row-sparse embedding
+gradients and row-wise Adam touch O(batch) rows, so the tracemalloc peaks
+of the two steps must stay within 1.25x of each other; a single |V|-row
+scratch buffer at 1e5 nodes would break the bound.  The pair starts at
+3e4 because the flows sample each hop over unique nodes: on a 3e3-node
+graph a batch's sampled neighbourhoods still collide, so its step is
+smaller for that reason, not because of |V|.  The bound is on bytes, not
+time, so it is deterministic.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ def step_peak_bytes(scale: float) -> int:
         tracemalloc.stop()
 
 
-def test_step_peak_memory_flat_from_3e3_to_3e4_nodes():
-    small, large = step_peak_bytes(0.003), step_peak_bytes(0.03)
+def test_step_peak_memory_flat_from_3e4_to_1e5_nodes():
+    small, large = step_peak_bytes(0.03), step_peak_bytes(0.1)
     assert min(small, large) > 0
     ratio = max(small, large) / min(small, large)
     assert ratio <= 1.25, (
-        f"per-step peak grew with |V|: {small / 2**20:.2f} MiB at 3e3 nodes, "
-        f"{large / 2**20:.2f} MiB at 3e4 nodes ({ratio:.2f}x)"
+        f"per-step peak grew with |V|: {small / 2**20:.2f} MiB at 3e4 nodes, "
+        f"{large / 2**20:.2f} MiB at 1e5 nodes ({ratio:.2f}x)"
     )

@@ -95,10 +95,12 @@ class TestWalkAndLayers:
 
     def test_sample_layers_shapes(self, small_graph):
         explorer = RandomizedExploration(small_graph, rng=0)
-        layers = explorer.sample_layers(np.asarray([0, 1, 2, 3]), 2, [3, 2])
-        assert layers[0].shape == (4,)
-        assert layers[1].shape == (4, 3)
-        assert layers[2].shape == (4, 6)
+        blocks = explorer.sample_layers(np.asarray([0, 1, 2, 3, 1]), 2, [3, 2])
+        np.testing.assert_array_equal(blocks.nodes[0], [0, 1, 2, 3])
+        assert blocks.children[0].shape == (4, 3)
+        assert blocks.children[1].shape == (len(blocks.nodes[1]), 2)
+        assert blocks.expand(1).shape == (5, 3)
+        assert blocks.expand(2).shape == (5, 6)
 
     def test_sample_layers_depth_mismatch_rejected(self, small_graph):
         explorer = RandomizedExploration(small_graph, rng=0)
@@ -107,8 +109,8 @@ class TestWalkAndLayers:
 
     def test_layer_entries_are_neighbors_of_parents(self, small_graph):
         explorer = RandomizedExploration(small_graph, rng=0)
-        layers = explorer.sample_layers(np.asarray([0, 1]), 1, [4])
-        for row, parent in zip(layers[1], layers[0]):
+        blocks = explorer.sample_layers(np.asarray([0, 1]), 1, [4])
+        for row, parent in zip(blocks.expand(1), [0, 1]):
             for child in row:
                 connected = any(
                     small_graph.has_edge(int(parent), int(child), rel)

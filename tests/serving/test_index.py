@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.serving import (
     save_index,
 )
 from repro.serving.engine import ServingStats, _percentiles
+from repro.serving import index as index_module
 from repro.serving.index import _stable_topk_ids
 
 
@@ -90,7 +93,7 @@ class TestExactIndex:
         rng = np.random.default_rng(0)
         vectors = _pool(rng)
         query = rng.standard_normal(8)
-        (ids, scores), = ExactIndex().build(vectors).search(query, k=10)
+        (ids, scores), = ExactIndex().build(vectors).search(query, k=10)[0]
         # The scalar reference path: dgemv scores, stable argsort.
         want = vectors @ query
         order = np.argsort(-want, kind="stable")[:10]
@@ -101,7 +104,8 @@ class TestExactIndex:
         rng = np.random.default_rng(1)
         vectors = _pool(rng)
         queries = rng.standard_normal((6, 8))
-        found = ExactIndex(block_size=6).build(vectors).search(queries, k=7)
+        found, scored = ExactIndex(block_size=6).build(vectors).search(queries, k=7)
+        assert scored == 6 * len(vectors)
         want = queries @ vectors.T
         for j, (ids, scores) in enumerate(found):
             order = np.argsort(-want[j], kind="stable")[:7]
@@ -113,14 +117,14 @@ class TestExactIndex:
         vectors = _pool(rng, size=64)
         index = ExactIndex().build(vectors)
         excluded = np.arange(0, 64, 2)
-        (ids, _), = index.search(vectors[3], k=64, exclude=[excluded])
+        (ids, _), = index.search(vectors[3], k=64, exclude=[excluded])[0]
         assert not set(ids.tolist()) & set(excluded.tolist())
         assert len(ids) == 32
 
     def test_k_beyond_pool_returns_whole_pool(self):
         rng = np.random.default_rng(3)
         vectors = _pool(rng, size=9)
-        (ids, _), = ExactIndex().build(vectors).search(vectors[0], k=100)
+        (ids, _), = ExactIndex().build(vectors).search(vectors[0], k=100)[0]
         assert sorted(ids.tolist()) == list(range(9))
 
 
@@ -134,8 +138,8 @@ class TestApproximateBackends:
         rng = np.random.default_rng(4)
         vectors = _pool(rng)
         queries = rng.standard_normal((8, 8))
-        exact = ExactIndex().build(vectors).search(queries, k=10)
-        ivf = IVFIndex(nprobe=10**6).build(vectors).search(queries, k=10)
+        exact, _ = ExactIndex().build(vectors).search(queries, k=10)
+        ivf, _ = IVFIndex(nprobe=10**6).build(vectors).search(queries, k=10)
         for (eids, escores), (iids, iscores) in zip(exact, ivf):
             np.testing.assert_array_equal(iids, eids)
             np.testing.assert_allclose(iscores, escores, rtol=1e-12)
@@ -148,8 +152,8 @@ class TestApproximateBackends:
         rng = np.random.default_rng(5)
         vectors = _pool(rng, size=1024)
         queries = rng.standard_normal((32, 8))
-        exact = ExactIndex().build(vectors).search(queries, k=10)
-        found = factory().build(vectors).search(queries, k=10)
+        exact, _ = ExactIndex().build(vectors).search(queries, k=10)
+        found, _ = factory().build(vectors).search(queries, k=10)
         recall = np.mean([
             len(set(ids.tolist()) & set(eids.tolist())) / 10
             for (ids, _), (eids, _) in zip(found, exact)
@@ -167,7 +171,7 @@ class TestApproximateBackends:
 
         def run():
             index = make_index(backend, seed=9, **params).build(vectors)
-            return index.search(queries, k=8), index.state_arrays()
+            return index.search(queries, k=8)[0], index.state_arrays()
 
         first_found, first_state = run()
         second_found, second_state = run()
@@ -189,15 +193,15 @@ class TestApproximateBackends:
         vectors = _pool(rng, size=400)
         query = rng.standard_normal(8)
         for index in (IVFIndex(nprobe=2), HNSWIndex(ef_search=16)):
-            (ids, scores), = index.build(vectors).search(query, k=6)
+            (ids, scores), = index.build(vectors).search(query, k=6)[0]
             np.testing.assert_allclose(scores, vectors[ids] @ query, rtol=1e-12)
 
     def test_last_candidates_is_sublinear(self):
         rng = np.random.default_rng(8)
         vectors = _pool(rng, size=2048)
         index = IVFIndex(nprobe=2).build(vectors)
-        index.search(rng.standard_normal((4, 8)), k=5)
-        assert 0 < index.last_candidates < 4 * 2048
+        _, scored = index.search(rng.standard_normal((4, 8)), k=5)
+        assert 0 < scored < 4 * 2048
 
 
 class TestPersistence:
@@ -211,14 +215,15 @@ class TestPersistence:
         vectors = _pool(rng, size=200)
         queries = rng.standard_normal((6, 8))
         index = factory().build(vectors)
-        want = index.search(queries, k=9)
+        want, want_scored = index.search(queries, k=9)
         target = save_index(index, tmp_path / "idx")
         assert target.suffix == ".npz"
         loaded, meta = load_index(target)
         assert meta["backend"] == index.backend
         assert (meta["size"], meta["dim"]) == (200, 8)
         assert loaded.params() == index.params()
-        got = loaded.search(queries, k=9)
+        got, got_scored = loaded.search(queries, k=9)
+        assert got_scored == want_scored
         for (a_ids, a_scores), (b_ids, b_scores) in zip(want, got):
             np.testing.assert_array_equal(b_ids, a_ids)
             np.testing.assert_array_equal(b_scores, a_scores)
@@ -290,6 +295,34 @@ class TestEngineIntegration:
             banned = set(graph.neighbors(source, "page_view").tolist())
             banned.add(source)
             assert not set(ids.tolist()) & banned
+
+    def test_concurrent_ivf_reads_count_their_own_candidates(self, store, taobao_split,
+                                                             monkeypatch):
+        """Two reads of one IVF index, interleaved query by query, each
+        count what they scored, so the total is exact."""
+        graph = taobao_split.train_graph
+        engine = self._engine(store, graph, index="ivf", min_index_size=2,
+                              index_params={"nprobe": 2, "seed": 0})
+        sources = self._sources(graph)
+        engine.topk_batch(sources, "page_view", k=4)
+        alone = engine.stats.candidates_scored
+        assert alone > 0
+        barrier = threading.Barrier(2, timeout=10)
+        extract = index_module._stable_topk_ids
+
+        def lockstep(*args):
+            barrier.wait()
+            return extract(*args)
+
+        monkeypatch.setattr(index_module, "_stable_topk_ids", lockstep)
+        readers = [threading.Thread(target=engine.topk_batch,
+                                    args=(sources, "page_view", 4))
+                   for _ in range(2)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join()
+        assert engine.stats.candidates_scored == 3 * alone
 
     def test_index_reused_until_invalidated(self, store, taobao_split):
         graph = taobao_split.train_graph
