@@ -4,7 +4,7 @@ Each case times the retained ``_reference_*`` (pre-engine, one-source-at-a-
 time) recommendation paths against :class:`repro.serving.BatchServingEngine`
 on the same workload and reports the speedup.  A second section
 (``index_sweep``) scales a synthetic candidate pool to 10^6 vectors and
-measures every :mod:`repro.serving.index` backend against the exact
+measures the IVF backend of :mod:`repro.serving.index` against the exact
 brute-force oracle — search latency, recall@10, and candidates scored per
 query.  The sweep uses i.i.d. Gaussian vectors, the *structureless worst
 case* for approximate retrieval: real (trained) embedding tables cluster,
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -112,34 +113,11 @@ def bench_rank_sources(recommender, sources, relation,
 # ----------------------------------------------------------------------
 # Index pool-scaling sweep
 # ----------------------------------------------------------------------
-# HNSW is a sequential pure-python build (~2ms/vector); pools above this
-# size are skipped in the sweep rather than silently benchmarked at hours
-# of build time.  IVF (blocked BLAS k-means) runs at every size.
-_HNSW_SWEEP_CAP = 10_000
-
-
-def _sweep_backends(pool_size: int) -> List[Dict[str, object]]:
-    """Backend configs per pool size, tuned for the recall/latency knee."""
-    # nprobe grows with nlist (~sqrt(N)) to hold the probed fraction near
-    # 10%; at 10^6 that is the measured >= 5x-speedup point on Gaussian
-    # vectors (finer tuning trades recall against latency linearly).
-    nlist = int(round(np.sqrt(pool_size)))
-    configs: List[Dict[str, object]] = [
-        {"backend": "ivf", "params": {"nprobe": max(16, nlist // 8)}},
-    ]
-    if pool_size <= _HNSW_SWEEP_CAP:
-        configs.append({
-            "backend": "hnsw",
-            "params": {"m": 12, "ef_construction": 64, "ef_search": 96},
-        })
-    return configs
-
-
 def bench_index_sweep(smoke: bool, dim: int = 32, k: int = 10,
                       num_queries: int = 64, seed: int = 0,
                       sizes: Optional[List[int]] = None) -> Dict[str, object]:
-    """Latency + recall@k per index backend over growing candidate pools."""
-    from repro.serving.index import ExactIndex, make_index
+    """Latency + recall@k of IVF vs exact search over growing pools."""
+    from repro.serving.index import ExactIndex, IVFIndex
 
     if sizes is None:
         sizes = [4096, 32768] if smoke else [10_000, 100_000, 1_000_000]
@@ -152,40 +130,38 @@ def bench_index_sweep(smoke: bool, dim: int = 32, k: int = 10,
         exact = ExactIndex(block_size=16).build(vectors)
         exact_s = _time(lambda: exact.search(queries, k), repeats)
         exact_ids = [set(ids.tolist()) for ids, _ in exact.search(queries, k)[0]]
-        entry: Dict[str, object] = {
+        # nprobe grows with nlist (~sqrt(N)) to hold the probed fraction
+        # near 10% (finer tuning trades recall against latency linearly).
+        params = {"nprobe": max(16, int(round(np.sqrt(pool_size))) // 8)}
+        index = IVFIndex(seed=seed, **params)
+        with Timer() as build_timer:
+            index.build(vectors)
+        search_s = _time(lambda: index.search(queries, k), repeats)
+        found, candidates = index.search(queries, k)
+        recall = float(np.mean([
+            len(exact_ids[j] & set(ids.tolist())) / k
+            for j, (ids, _) in enumerate(found)
+        ]))
+        pools.append({
             "pool_size": pool_size,
             "exact": {
                 "search_s": exact_s,
                 "scored_per_query": pool_size,
             },
-            "backends": {},
-        }
-        for config in _sweep_backends(pool_size):
-            backend = str(config["backend"])
-            index = make_index(backend, seed=seed, **config["params"])
-            with Timer() as build_timer:
-                index.build(vectors)
-            search_s = _time(lambda: index.search(queries, k), repeats)
-            found, candidates = index.search(queries, k)
-            recall = float(np.mean([
-                len(exact_ids[j] & set(ids.tolist())) / k
-                for j, (ids, _) in enumerate(found)
-            ]))
-            entry["backends"][backend] = {
-                "params": config["params"],
+            "backends": {"ivf": {
+                "params": params,
                 "build_s": build_timer.elapsed,
                 "search_s": search_s,
                 "speedup_vs_exact": exact_s / search_s if search_s > 0 else float("inf"),
                 "recall_at_k": recall,
                 "scored_per_query": candidates // num_queries,
-            }
-        pools.append(entry)
+            }},
+        })
     return {
         "dim": dim,
         "k": k,
         "num_queries": num_queries,
         "distribution": "iid standard normal (structureless ANN worst case)",
-        "hnsw_pool_cap": _HNSW_SWEEP_CAP,
         "pools": pools,
     }
 
@@ -225,6 +201,7 @@ def run_all(profile=None, smoke: bool = False) -> Dict[str, object]:
         "profile": profile.name,
         "smoke": smoke,
         "graph": repr(graph),
+        "cpu_count": os.cpu_count(),
         "settings": {
             "scale": scale, "num_sources": int(len(sources)), "k": k,
             "relation": relation,

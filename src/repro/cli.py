@@ -12,9 +12,8 @@ Commands
 ``recommend``
     Print top-K recommendations from a saved embedding export — one node
     via ``--node``, or many at once via ``--nodes`` (served by the batched
-    engine in :mod:`repro.serving`); ``--index ivf|hnsw`` (with
-    ``--nprobe`` / ``--ef-search``) swaps in a sub-linear approximate
-    retrieval backend.
+    engine in :mod:`repro.serving`); ``--index ivf`` (with ``--nprobe``)
+    swaps in a sub-linear approximate retrieval backend.
 ``serve-sim``
     Simulate mixed live traffic (recommend/similar reads interleaved with
     feedback writes, including cold-start nodes) against the online
@@ -161,8 +160,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     index_params = {"seed": args.seed}
     if args.nprobe is not None:
         index_params["nprobe"] = args.nprobe
-    if args.ef_search is not None:
-        index_params["ef_search"] = args.ef_search
     engine_options["index_params"] = index_params
     recommender = Recommender(store, split.train_graph, engine_options)
     if args.nodes:
@@ -286,12 +283,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     from repro import verify as verify_mod
 
-    suites = (
-        ["gradcheck", "oracles", "index", "service", "concurrency",
-         "alloc", "transfer", "golden"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    if args.suite != "all":
+        suites = [args.suite]
+    elif args.refresh_golden or args.refresh_alloc_budgets:
+        suites = []  # a refresh runs alone unless --suite names a suite
+    else:
+        suites = ["gradcheck", "oracles", "index", "service", "concurrency",
+                  "alloc", "transfer", "golden"]
     datasets = [d for d in args.datasets.split(",") if d] or None
     models = [m for m in args.models.split(",") if m] or None
     report: dict = {"seed": args.seed, "suites": {}}
@@ -302,7 +300,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             datasets=datasets, models=models, seed=args.seed, verbose=True
         )
         print(f"refreshed {len(entries)} golden entries in {verify_mod.golden_dir()}")
-        suites = [s for s in suites if s != "golden"] if args.suite == "all" else []
 
     if args.refresh_alloc_budgets:
         from repro.perf import default_budget_path
@@ -312,7 +309,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"refreshed {len(budgets)} allocation budgets in "
             f"{default_budget_path()}"
         )
-        suites = [s for s in suites if s != "alloc"] if args.suite == "all" else []
 
     if "gradcheck" in suites:
         missing = verify_mod.uncovered_targets()
@@ -501,16 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="print serving-engine stage timings after a batch")
     p.add_argument("--index", default="exact",
-                   choices=["exact", "ivf", "hnsw"],
+                   choices=["exact", "ivf"],
                    help="retrieval backend: exact brute force (default), or "
                         "an approximate sub-linear index (recall-gated by "
                         "'repro verify --suite index')")
     p.add_argument("--nprobe", type=int, default=None,
                    help="ivf: clusters probed per query (higher = better "
                         "recall, more candidates scored)")
-    p.add_argument("--ef-search", type=int, default=None,
-                   help="hnsw: beam width during search (higher = better "
-                        "recall, slower)")
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("serve-sim",
@@ -556,10 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "service", "concurrency", "alloc", "transfer",
                             "golden"])
     p.add_argument("--refresh-golden", action="store_true",
-                   help="re-snapshot the golden corpus instead of checking it")
+                   help="re-snapshot the golden corpus instead of checking "
+                        "it; runs no suite unless --suite names one")
     p.add_argument("--refresh-alloc-budgets", action="store_true",
                    help="re-measure the canonical workloads and rewrite "
-                        "benchmarks/alloc_budgets.json instead of checking it")
+                        "benchmarks/alloc_budgets.json instead of checking "
+                        "it; runs no suite unless --suite names one")
     p.add_argument("--datasets", default="",
                    help="comma-separated dataset subset for the golden suite")
     p.add_argument("--models", default="",

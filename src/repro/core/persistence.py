@@ -16,10 +16,15 @@ directory, renamed over the target once complete, so a crash mid-write
 never leaves a truncated archive under the target's name.  Every load
 goes through :func:`read_archive`, which turns a truncated, corrupt or
 missing file into a :class:`~repro.errors.ReproError` naming the file.
+The two also carry a content digest: ``write_archive`` stores a SHA-256 of
+every array's name, dtype, shape and bytes under a reserved key, and
+``read_archive`` checks it, so an array rewritten after the save (whose
+zip CRC is valid again) fails the load instead of loading silently.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import uuid
@@ -35,6 +40,8 @@ from repro.eval.link_prediction import RelationEmbedder
 from repro.nn.module import Module
 
 _META_KEY = "__meta__"
+#: Where :func:`write_archive` stores the content digest.
+DIGEST_KEY = "__digest__"
 
 
 def _as_npz_path(path: Union[str, Path]) -> Path:
@@ -59,19 +66,31 @@ def _existing_npz_path(path: Union[str, Path]) -> Path:
     return normalised if normalised.exists() else path
 
 
+def _digest(arrays: Mapping[str, np.ndarray]) -> str:
+    """SHA-256 over every array's name, dtype, shape and bytes, by name."""
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name}\0{array.dtype.str}\0{array.shape}\0".encode())
+        digest.update(array)
+    return digest.hexdigest()
+
+
 def write_archive(path: Union[str, Path], arrays: Mapping[str, np.ndarray]) -> Path:
     """Write ``arrays`` as a compressed .npz at ``path``, atomically.
 
     The archive is written and synced under a temporary name in the
     target's directory, then ``os.replace``-d onto the target; on any
     failure the temporary file is removed and an existing target is left
-    as it was.  Returns the path written (``.npz`` appended when missing).
+    as it was.  The content digest is stored under :data:`DIGEST_KEY`.
+    Returns the path written (``.npz`` appended when missing).
     """
     target = _as_npz_path(path)
     temporary = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    digest = np.asarray(_digest(arrays))
     try:
         with open(temporary, "xb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez_compressed(handle, **arrays, **{DIGEST_KEY: digest})
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, target)
@@ -89,26 +108,38 @@ def read_archive(path: Union[str, Path], kind: str) -> Dict[str, np.ndarray]:
     """Every array of the .npz at ``path``, read eagerly.
 
     A missing suffix is normalised as a save normalises it.  A missing,
-    truncated or corrupt file raises :class:`ReproError` naming the file
-    and ``kind`` (what the caller expected to find there).
+    truncated or corrupt file, or one whose arrays no longer match the
+    stored content digest, raises :class:`ReproError` naming the file and
+    ``kind`` (what the caller expected to find there).  An archive written
+    without a digest (by an older build) loads unchecked.
     """
     source = _existing_npz_path(path)
     try:
         with np.load(source, allow_pickle=False) as data:
-            return {key: data[key] for key in data.files}
+            arrays = {key: data[key] for key in data.files}
     except _READ_ERRORS as exc:
         raise ReproError(
             f"cannot read {kind} {source}: the file is missing, truncated or "
             f"corrupt ({type(exc).__name__}: {exc})"
         ) from exc
+    if DIGEST_KEY in arrays:
+        stored = str(arrays.pop(DIGEST_KEY))
+        if stored != _digest(arrays):
+            raise ReproError(
+                f"cannot read {kind} {source}: its arrays do not match the "
+                "content digest stored with them (the file was changed "
+                "after it was written)"
+            )
+    return arrays
 
 
 def _check_reserved_keys(keys, what: str) -> None:
-    if _META_KEY in keys:
-        raise ReproError(
-            f"{what} name {_META_KEY!r} is reserved for archive metadata; "
-            "rename it before saving"
-        )
+    for reserved in (_META_KEY, DIGEST_KEY):
+        if reserved in keys:
+            raise ReproError(
+                f"{what} name {reserved!r} is reserved for archive "
+                "metadata; rename it before saving"
+            )
 
 
 def save_checkpoint(model: Module, path: Union[str, Path]) -> Path:

@@ -51,7 +51,7 @@ class Recommender:
         first built — e.g. ``index="ivf"``,
         ``index_params={"nprobe": 32}`` to serve through an approximate
         retrieval backend (the ``repro recommend`` CLI's ``--index`` /
-        ``--nprobe`` / ``--ef-search`` flags arrive here).
+        ``--nprobe`` flags arrive here).
     """
 
     def __init__(self, model: RelationEmbedder, graph: MultiplexHeteroGraph,

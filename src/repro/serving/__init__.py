@@ -14,10 +14,9 @@ for these sources under this relationship" by
   ``exact`` (one matmul against the pool plus a stable top-K extraction,
   bit-identical list order to the scalar reference paths kept on
   :class:`repro.core.recommender.Recommender`), or the sub-linear ``ivf``
-  / ``hnsw`` approximate backends (:class:`IVFIndex`, :class:`HNSWIndex`),
-  which prune the candidate *set* but still score surfaced candidates
-  with exact dot products (recall-gated by ``repro verify --suite
-  index``).
+  approximate backend (:class:`IVFIndex`), which prunes the candidate
+  *set* but still scores surfaced candidates with exact dot products
+  (recall-gated by ``repro verify --suite index``).
 
 Request-level latency/throughput is recorded through
 :class:`repro.perf.StageProfiler` stages (``serving.embeddings``,
@@ -51,7 +50,6 @@ from repro.serving.service import (
 from repro.serving.traffic import TraceOp, generate_trace, replay_trace
 from repro.serving.index import (
     ExactIndex,
-    HNSWIndex,
     INDEX_BACKENDS,
     IVFIndex,
     VectorIndex,
@@ -69,7 +67,6 @@ __all__ = [
     "EdgeDeltaBuffer",
     "EndpointStats",
     "ExactIndex",
-    "HNSWIndex",
     "INDEX_BACKENDS",
     "IVFIndex",
     "RecommendService",

@@ -14,15 +14,15 @@ The engine organises the whole hot path around that observation:
   backend: ``exact`` keeps the original blocked
   ``sources @ table[pool].T`` matmul (``serving.score``) with stable top-K
   extraction (``serving.topk``), bit-identical to the scalar reference;
-  ``ivf`` and ``hnsw`` prune the candidate set sub-linearly
+  ``ivf`` prunes the candidate set sub-linearly
   (``serving.index_build`` / ``serving.index_search`` stages) while still
   scoring surfaced candidates with exact dot products.
 
-Approximate backends fall back to the exact path — counted in
+The approximate backend falls back to the exact path — counted in
 ``ServingStats.exact_fallbacks`` — when a pool is smaller than
-``min_index_size``, when a cached index went stale under
-``on_stale="exact"``, and always for :meth:`BatchServingEngine.rank_all`
-(a full ordering cannot be pruned).
+``min_index_size``, and always for :meth:`BatchServingEngine.rank_all`
+(a full ordering cannot be pruned).  A cached index that went stale is
+rebuilt on its next use.
 
 The scalar pre-engine implementations survive as ``_reference_*`` methods
 on :class:`repro.core.recommender.Recommender` and are compared against the
@@ -284,20 +284,16 @@ class BatchServingEngine:
         when omitted.
     index:
         Retrieval backend: ``"exact"`` (default; bit-identical brute
-        force), ``"ivf"`` or ``"hnsw"`` (sub-linear, recall-gated by the
-        ``index`` oracle suite).
+        force) or ``"ivf"`` (sub-linear, recall-gated by the ``index``
+        oracle suite).
     index_params:
-        Backend construction parameters (``nprobe``, ``ef_search``,
+        Backend construction parameters (``nprobe``, ``nlist``,
         ``seed``, ...); keys a backend doesn't take are ignored, so one
         flat dict can configure any backend.
     min_index_size:
         Pools smaller than this are always served exactly — index
         overhead only pays off at scale, and tiny pools are where
         cold-start nodes live.
-    on_stale:
-        What to do when a cached index no longer matches the live table:
-        ``"rebuild"`` (default) rebuilds it, ``"exact"`` serves the
-        request exactly and leaves rebuilding to the next explicit build.
     """
 
     def __init__(self, model, graph, *, cache_capacity: int = 4,
@@ -306,12 +302,7 @@ class BatchServingEngine:
                  index: str = "exact",
                  index_params: Optional[Dict[str, object]] = None,
                  min_index_size: int = 32,
-                 on_stale: str = "rebuild",
                  latency_window: int = _LATENCY_WINDOW):
-        if on_stale not in ("rebuild", "exact"):
-            raise EvaluationError(
-                f"on_stale must be 'rebuild' or 'exact', got {on_stale!r}"
-            )
         self.model = model
         self.graph = graph
         self.pools = CandidatePools(graph)
@@ -324,7 +315,6 @@ class BatchServingEngine:
         self.index_backend = index
         self.index_params = dict(index_params or {})
         self.min_index_size = max(0, int(min_index_size))
-        self.on_stale = on_stale
         # Fail fast on unknown backends (make_index validates the name).
         make_index(index, **self.index_params)
         # Taken after the cache's lock (its listeners retire indexes),
@@ -394,13 +384,13 @@ class BatchServingEngine:
         """The live index for a (relation, pool) pair, or ``None`` for exact.
 
         ``None`` sends the caller down the original brute-force path —
-        always for the ``exact`` backend, for pools under
-        ``min_index_size``, and for stale entries under
-        ``on_stale="exact"``.  Callers must have fetched ``table`` from
-        the cache *before* calling (the fetch is what assigns the version
-        this index is validated against).  Concurrent reads that miss the
-        same index build it once: the first builds under ``_index_lock``
-        and the rest wait for it.
+        always for the ``exact`` backend and for pools under
+        ``min_index_size``.  A stale entry is rebuilt in place.  Callers
+        must have fetched ``table`` from the cache *before* calling (the
+        fetch is what assigns the version this index is validated
+        against).  Concurrent reads that miss the same index build it
+        once: the first builds under ``_index_lock`` and the rest wait
+        for it.
         """
         if self.index_backend == "exact":
             return None
@@ -415,12 +405,8 @@ class BatchServingEngine:
                 index, built_version, pool_len = entry
                 if built_version == version and pool_len == len(pool):
                     return index
-                # Stale: the table was re-fetched (or the pool changed)
-                # since this index was built.
-                with self._index_region:
-                    del self._indexes[key]
-                if self.on_stale == "exact":
-                    return None
+            # Missing or stale (the table was re-fetched, or the pool
+            # changed, since it was built): the build replaces the entry.
             return self._build_index(relation, target_type, metric, table,
                                      pool, version, norms)
 
@@ -799,7 +785,6 @@ class BatchServingEngine:
             "backend": self.index_backend,
             "params": dict(self.index_params),
             "min_index_size": self.min_index_size,
-            "on_stale": self.on_stale,
             "entries": [
                 {
                     "relation": relation,

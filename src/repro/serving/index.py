@@ -15,15 +15,8 @@ production pattern of a vector database behind a recommender service:
   scores the ``nprobe`` clusters whose centroids have the highest inner
   product and ranks only their members.  Cluster members are stored
   contiguously so probing is slice concatenation, not fancy gathers.
-- :class:`HNSWIndex` — hierarchical navigable-small-world proximity
-  graph with greedy beam descent.  Maximum-inner-product search is first
-  reduced *exactly* to nearest-neighbor search by augmenting each vector
-  with ``sqrt(max_norm^2 - |x|^2)`` (queries get a zero coordinate), so
-  the graph is built over a true metric and recall is a property of the
-  traversal alone.  Construction is sequential but fully deterministic
-  under the seed.
 
-All three return **exact dot-product scores** for the candidates they
+Both return **exact dot-product scores** for the candidates they
 surface — approximation lives only in *which* candidates are scored, so
 ``recall@K`` against :class:`ExactIndex` fully characterises the error
 (measured by ``repro verify --suite index`` and the benchmark sweep in
@@ -49,7 +42,6 @@ __all__ = [
     "VectorIndex",
     "ExactIndex",
     "IVFIndex",
-    "HNSWIndex",
     "INDEX_BACKENDS",
     "make_index",
     "save_index",
@@ -173,7 +165,7 @@ def _stable_topk_ids(scores: np.ndarray, positions: np.ndarray,
     Same ordering contract as :func:`_stable_topk` (descending score,
     ascending pool position among exact ties, lowest positions win
     boundary ties) but for candidates that arrive in arbitrary order —
-    e.g. concatenated IVF cluster slices or an HNSW beam.
+    e.g. concatenated IVF cluster slices.
     """
     count = len(scores)
     if count == 0:
@@ -471,283 +463,19 @@ class IVFIndex(VectorIndex):
         self.size, self.dim = self._vectors.shape
 
 
-class HNSWIndex(VectorIndex):
-    """Hierarchical navigable-small-world graph, pure numpy + heaps.
-
-    Maximum inner product is reduced exactly to nearest-neighbor search by
-    the norm-augmentation transform: every pool vector gains a coordinate
-    ``sqrt(max_norm^2 - |x|^2)`` and queries gain a zero, after which
-    ``argmin ||x' - q'||`` equals ``argmax x.q``.  The layered graph is
-    then built over genuine L2 geometry.
-
-    Construction inserts points one at a time (deterministic level draws
-    from ``seed``, candidate beams of width ``ef_construction``, ``m``
-    links per node, ``2m`` on the ground layer); search descends greedily
-    through the upper layers and runs a best-first beam of width
-    ``max(ef_search, k + |exclusions|)`` on the ground layer.
-    """
-
-    backend = "hnsw"
-    _PARAMS = ("m", "ef_construction", "ef_search", "seed")
-
-    def __init__(self, m: int = 16, ef_construction: int = 96,
-                 ef_search: int = 96, seed: int = 0):
-        super().__init__()
-        self.m = max(2, int(m))
-        self.ef_construction = max(self.m, int(ef_construction))
-        self.ef_search = max(1, int(ef_search))
-        self.seed = int(seed)
-        self._aug = np.empty((0, 0), dtype=np.float64)
-        self._aug_norms = _EMPTY_SCORES
-        self._vectors = np.empty((0, 0), dtype=np.float64)
-        self._levels = _EMPTY_IDS
-        self._entry = -1
-        self._max_level = -1
-        # Per level: CSR adjacency (indptr, indices) after build.
-        self._indptr: List[np.ndarray] = []
-        self._indices: List[np.ndarray] = []
-
-    # -- geometry -------------------------------------------------------
-    def _augment(self, vectors: np.ndarray) -> np.ndarray:
-        norms2 = np.einsum("ij,ij->i", vectors, vectors)
-        ceiling = float(norms2.max()) if len(norms2) else 0.0
-        pad = np.sqrt(np.maximum(ceiling - norms2, 0.0))
-        return np.concatenate([vectors, pad[:, None]], axis=1)
-
-    def _dists(self, nodes: np.ndarray, query: np.ndarray) -> np.ndarray:
-        # Comparable distance: ||x - q||^2 - ||q||^2 = |x|^2 - 2 x.q
-        return self._aug_norms[nodes] - 2.0 * (self._aug[nodes] @ query)
-
-    # -- construction ---------------------------------------------------
-    def build(self, vectors: np.ndarray) -> "HNSWIndex":
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        size, dim = vectors.shape
-        self._vectors = vectors
-        self._aug = self._augment(vectors)
-        self._aug_norms = np.einsum("ij,ij->i", self._aug, self._aug)
-        self.size, self.dim = size, dim
-        rng = as_rng(self.seed)
-        level_mult = 1.0 / np.log(self.m)
-        draws = rng.random(size) if size else np.empty(0)
-        # Same -log(max(draws, eps)) * mult -> floor chain, computed in
-        # place: identical float sequence, no intermediate copies.
-        levels = np.maximum(draws, 1e-12)
-        np.log(levels, out=levels)
-        np.negative(levels, out=levels)
-        np.multiply(levels, level_mult, out=levels)
-        np.floor(levels, out=levels)
-        self._levels = levels.astype(np.int64)
-        if size == 0:
-            self._entry, self._max_level = -1, -1
-            self._indptr, self._indices = [], []
-            return self
-        max_level = int(self._levels.max())
-        # Mutable adjacency during construction: per level, per node, a
-        # python list of neighbor ids.
-        graph: List[Dict[int, List[int]]] = [
-            {} for _ in range(max_level + 1)
-        ]
-        self._graph = graph
-        self._entry = 0
-        self._max_level = int(self._levels[0])
-        for level in range(self._levels[0] + 1):
-            graph[level][0] = []
-        for node in range(1, size):
-            self._insert(node)
-        # Freeze to CSR per level for fast search and persistence.
-        self._indptr, self._indices = [], []
-        degrees = np.zeros(size + 1, dtype=np.int64)  # reused per level
-        for level in range(max_level + 1):
-            members = sorted(graph[level])
-            degrees.fill(0)
-            chunks = []
-            for member in members:
-                neighbors = graph[level][member]
-                degrees[member + 1] = len(neighbors)
-                chunks.append(np.asarray(neighbors, dtype=np.int64))
-            # cumsum of an int64 buffer is already int64: no astype copy.
-            indptr = np.cumsum(degrees)
-            indices = (np.concatenate(chunks) if chunks else _EMPTY_IDS)
-            self._indptr.append(indptr)
-            self._indices.append(indices)
-        del self._graph
-        return self
-
-    def _insert(self, node: int) -> None:
-        import heapq
-
-        query = self._aug[node]
-        level = int(self._levels[node])
-        entry = [(float(self._dists(np.asarray([self._entry]), query)[0]),
-                  self._entry)]
-        for layer in range(self._max_level, level, -1):
-            entry = self._search_build_layer(query, entry, 1, layer)
-        for layer in range(min(level, self._max_level), -1, -1):
-            found = self._search_build_layer(
-                query, entry, self.ef_construction, layer
-            )
-            cap = self.m if layer > 0 else 2 * self.m
-            chosen = heapq.nsmallest(self.m, found)
-            self._graph[layer][node] = [n for _, n in chosen]
-            for dist, neighbor in chosen:
-                links = self._graph[layer][neighbor]
-                links.append(node)
-                if len(links) > cap:
-                    # Prune to the `cap` nearest (deterministic: distance,
-                    # then lowest id).
-                    arr = np.asarray(links, dtype=np.int64)
-                    dists = self._dists(arr, self._aug[neighbor])
-                    keep = np.lexsort((arr, dists))[:cap]
-                    self._graph[layer][neighbor] = arr[keep].tolist()
-            entry = found
-        if level > self._max_level:
-            for layer in range(self._max_level + 1, level + 1):
-                self._graph[layer][node] = []
-            self._max_level = level
-            self._entry = node
-
-    def _search_build_layer(self, query, entries, ef, layer):
-        """Beam search over the *mutable* construction adjacency."""
-        import heapq
-
-        visited = {n for _, n in entries}
-        candidates = list(entries)
-        heapq.heapify(candidates)
-        best = [(-d, n) for d, n in entries]
-        heapq.heapify(best)
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0] and len(best) >= ef:
-                break
-            neighbors = [
-                n for n in self._graph[layer].get(node, ())
-                if n not in visited
-            ]
-            if not neighbors:
-                continue
-            visited.update(neighbors)
-            arr = np.asarray(neighbors, dtype=np.int64)
-            dists = self._dists(arr, query)
-            for d, n in zip(dists.tolist(), arr.tolist()):
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, n))
-                    heapq.heappush(best, (-d, n))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-negd, n) for negd, n in best)
-
-    # -- search ---------------------------------------------------------
-    def _neighbors_csr(self, layer: int, node: int) -> np.ndarray:
-        indptr = self._indptr[layer]
-        return self._indices[layer][indptr[node]:indptr[node + 1]]
-
-    def _search_layer(self, query, entries, ef, layer):
-        import heapq
-
-        visited = {n for _, n in entries}
-        candidates = list(entries)
-        heapq.heapify(candidates)
-        best = [(-d, n) for d, n in entries]
-        heapq.heapify(best)
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0] and len(best) >= ef:
-                break
-            fresh = [
-                n for n in self._neighbors_csr(layer, node).tolist()
-                if n not in visited
-            ]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            arr = np.asarray(fresh, dtype=np.int64)
-            dists = self._dists(arr, query)
-            for d, n in zip(dists.tolist(), arr.tolist()):
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, n))
-                    heapq.heappush(best, (-d, n))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-negd, n) for negd, n in best)
-
-    def search(self, queries, k, exclude=None):
-        self._require_built()
-        queries = self._as_queries(queries)
-        results: List[Tuple[np.ndarray, np.ndarray]] = []
-        candidates = 0
-        if self.size == 0 or self._entry < 0:
-            return [(_EMPTY_IDS, _EMPTY_SCORES)] * len(queries), candidates
-        zeros = np.zeros((len(queries), 1))
-        augmented = np.concatenate(
-            [np.asarray(queries, dtype=np.float64), zeros], axis=1
-        )
-        for j in range(len(queries)):
-            query = augmented[j]
-            excluded = None if exclude is None else exclude[j]
-            ef = max(self.ef_search,
-                     k + (0 if excluded is None else len(excluded)))
-            entry = [(float(self._dists(np.asarray([self._entry]),
-                                        query)[0]), self._entry)]
-            for layer in range(self._max_level, 0, -1):
-                entry = self._search_layer(query, entry, 1, layer)
-            found = self._search_layer(query, entry, ef, 0)
-            positions = np.asarray([n for _, n in found], dtype=np.int64)
-            scores = self._vectors[positions] @ queries[j]
-            positions, scores = self._drop_excluded(positions, scores, excluded)
-            candidates += len(positions)
-            results.append(_stable_topk_ids(scores, positions, k))
-        return results, candidates
-
-    def state_arrays(self):
-        arrays = {
-            "vectors": self._vectors,
-            "levels": self._levels,
-            "entry": np.asarray([self._entry, self._max_level],
-                                dtype=np.int64),
-        }
-        for level, (indptr, indices) in enumerate(
-            zip(self._indptr, self._indices)
-        ):
-            arrays[f"indptr_{level}"] = indptr
-            arrays[f"indices_{level}"] = indices
-        return arrays
-
-    def load_state_arrays(self, arrays):
-        vectors = np.asarray(arrays["vectors"], dtype=np.float64)
-        self._vectors = vectors
-        self._aug = self._augment(vectors)
-        self._aug_norms = np.einsum("ij,ij->i", self._aug, self._aug)
-        self.size, self.dim = vectors.shape
-        self._levels = np.asarray(arrays["levels"], dtype=np.int64)
-        self._entry, self._max_level = (
-            int(arrays["entry"][0]), int(arrays["entry"][1])
-        )
-        self._indptr, self._indices = [], []
-        level = 0
-        while f"indptr_{level}" in arrays:
-            self._indptr.append(
-                np.asarray(arrays[f"indptr_{level}"], dtype=np.int64)
-            )
-            self._indices.append(
-                np.asarray(arrays[f"indices_{level}"], dtype=np.int64)
-            )
-            level += 1
-
-
 # ======================================================================
 # Registry + persistence
 # ======================================================================
 INDEX_BACKENDS: Dict[str, type] = {
     ExactIndex.backend: ExactIndex,
     IVFIndex.backend: IVFIndex,
-    HNSWIndex.backend: HNSWIndex,
 }
 
 
 def make_index(backend: str, **params) -> VectorIndex:
     """Construct a backend by name, ignoring parameters it doesn't take.
 
-    The engine forwards one flat parameter dict (``nprobe``, ``ef_search``,
+    The engine forwards one flat parameter dict (``nprobe``, ``seed``,
     ...) regardless of backend, so unknown keys are dropped rather than
     raised — an unknown *backend* is still an error.
     """
@@ -770,16 +498,17 @@ def save_index(index: VectorIndex, path: Union[str, Path],
 
     Returns the path actually written (``.npz`` appended when missing).
     """
-    from repro.core.persistence import write_archive
+    from repro.core.persistence import DIGEST_KEY, write_archive
 
     meta = index.meta()
     if extra_meta:
         meta.update(extra_meta)
     arrays = index.state_arrays()
-    if _INDEX_META_KEY in arrays:
-        raise ReproError(
-            f"index state may not use the reserved key {_INDEX_META_KEY!r}"
-        )
+    for reserved in (_INDEX_META_KEY, DIGEST_KEY):
+        if reserved in arrays:
+            raise ReproError(
+                f"index state may not use the reserved key {reserved!r}"
+            )
     return write_archive(
         path, {**arrays, _INDEX_META_KEY: np.asarray(json.dumps(meta))}
     )

@@ -778,14 +778,14 @@ def _topk_recall(approx, exact) -> float:
 def index_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     """Vector-index backends vs the exact retrieval oracle.
 
-    Four gates:
+    Three gates:
 
     - the ``exact`` backend must be **bit-identical** to the engine's
       brute-force path — same ids in the same order, same score bits;
-    - ``ivf`` and ``hnsw`` must reach recall@10 > 0.95 against the exact
-      top-10 on the smoke-scale graph (reported as
-      ``max_abs_diff = 1 - recall`` with tolerance
-      :data:`RECALL_TOLERANCE`) while scoring strictly fewer candidates;
+    - ``ivf`` must reach recall@10 > 0.95 against the exact top-10 on the
+      smoke-scale graph (reported as ``max_abs_diff = 1 - recall`` with
+      tolerance :data:`RECALL_TOLERANCE`); the detail line reports how
+      many candidates it scored;
     - every backend must survive a save/load roundtrip with bit-identical
       search results.
 
@@ -795,7 +795,9 @@ def index_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     """
     from repro.core.persistence import EmbeddingStore
     from repro.serving import BatchServingEngine
-    from repro.serving.index import make_index, load_index, save_index
+    from repro.serving.index import (
+        INDEX_BACKENDS, make_index, load_index, save_index,
+    )
 
     if dataset is None:
         from repro.datasets.zoo import load_dataset
@@ -847,22 +849,21 @@ def index_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         f"pool {len(pool)})",
     ))
 
-    # --- approximate backends: recall@10 gate + strict sub-scanning
-    for backend in ("ivf", "hnsw"):
-        approx_engine = engine(backend)
-        approx_topk = approx_engine.topk_batch(sources, relation, k)
-        recall = _topk_recall(approx_topk, exact_topk)
-        scanned = approx_engine.stats.candidates_scored
-        full = exact_engine.stats.candidates_scored
-        # Sub-linear *scaling* is asserted by the benchmark pool sweep; at
-        # smoke scale a probe can legitimately cover the whole tiny pool,
-        # so this oracle gates recall only and reports the scan ratio.
-        results.append(_result(
-            f"{backend}_recall_at_{k}", "index", 1.0 - recall,
-            f"recall@{k}={recall:.3f} vs exact, scored {scanned} of "
-            f"{full} exact-scanned candidates",
-            tolerance=RECALL_TOLERANCE,
-        ))
+    # --- approximate backend: recall@10 gate, scan ratio reported
+    ivf_engine = engine("ivf")
+    recall = _topk_recall(ivf_engine.topk_batch(sources, relation, k),
+                          exact_topk)
+    scanned = ivf_engine.stats.candidates_scored
+    full = exact_engine.stats.candidates_scored
+    # Sub-linear *scaling* is asserted by the benchmark pool sweep; at
+    # smoke scale a probe can legitimately cover the whole tiny pool, so
+    # this oracle gates recall only and reports the scan ratio.
+    results.append(_result(
+        f"ivf_recall_at_{k}", "index", 1.0 - recall,
+        f"recall@{k}={recall:.3f} vs exact, scored {scanned} of "
+        f"{full} exact-scanned candidates",
+        tolerance=RECALL_TOLERANCE,
+    ))
 
     # --- persistence: save/load must not change a single search result
     import tempfile
@@ -870,7 +871,7 @@ def index_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
 
     queries = table[sources[:8]]
     diff = 0.0
-    for backend in ("exact", "ivf", "hnsw"):
+    for backend in sorted(INDEX_BACKENDS):
         index = make_index(backend, seed=seed).build(table[pool])
         with tempfile.TemporaryDirectory() as tmp:
             loaded, _ = load_index(save_index(index, Path(tmp) / backend))

@@ -81,3 +81,49 @@ def test_failed_write_leaves_existing_target_intact(
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
     monkeypatch.undo()
     _load(kind, model, path)
+
+
+def _rewrite(path, change):
+    """Rewrite ``path`` through ``np.savez`` after ``change(arrays)``, so
+    the zip CRCs are valid for whatever the arrays now hold."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    change(arrays)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rewritten_element_fails_the_content_digest(
+        kind, model, taobao_split, tmp_path):
+    path = _save(kind, model, taobao_split.train_graph.num_nodes, tmp_path / "a")
+
+    def bump_one_element(arrays):
+        name = next(key for key in sorted(arrays) if not key.startswith("__"))
+        arrays[name].flat[0] += 1.0
+
+    _rewrite(path, bump_one_element)
+    with pytest.raises(ReproError, match="content digest") as excinfo:
+        _load(kind, model, path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_archive_without_digest_still_loads(kind, model, taobao_split, tmp_path):
+    path = _save(kind, model, taobao_split.train_graph.num_nodes, tmp_path / "a")
+    _rewrite(path, lambda arrays: arrays.pop(persistence.DIGEST_KEY))
+    _load(kind, model, path)
+
+
+def test_digest_key_is_reserved(model, tmp_path):
+    with pytest.raises(ReproError, match="reserved"):
+        export_embeddings(model, 4, [persistence.DIGEST_KEY], tmp_path / "e")
+
+    class Poisoned(ExactIndex):
+        def state_arrays(self):
+            return {**super().state_arrays(),
+                    persistence.DIGEST_KEY: np.zeros(1)}
+
+    index = Poisoned().build(np.zeros((3, 2)))
+    with pytest.raises(ReproError, match="reserved"):
+        save_index(index, tmp_path / "i")
+    assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -13,7 +14,6 @@ from repro.errors import CheckError, ReproError
 from repro.serving import (
     BatchServingEngine,
     ExactIndex,
-    HNSWIndex,
     INDEX_BACKENDS,
     IVFIndex,
     load_index,
@@ -69,7 +69,7 @@ class TestStableTopKIds:
 
 class TestRegistry:
     def test_backends_registered(self):
-        assert set(INDEX_BACKENDS) == {"exact", "ivf", "hnsw"}
+        assert set(INDEX_BACKENDS) == {"exact", "ivf"}
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ReproError, match="unknown index backend"):
@@ -77,10 +77,11 @@ class TestRegistry:
 
     def test_foreign_params_are_filtered(self):
         # The engine forwards one flat dict to whichever backend is active.
-        index = make_index("ivf", nprobe=3, ef_search=64, block_size=7)
+        index = make_index("ivf", nprobe=3, beam_width=64, block_size=7)
         assert isinstance(index, IVFIndex)
         assert index.nprobe == 3
-        assert not hasattr(index, "ef_search")
+        assert not hasattr(index, "beam_width")
+        assert not hasattr(index, "block_size")
 
     def test_search_before_build_raises(self):
         for backend in INDEX_BACKENDS:
@@ -144,16 +145,12 @@ class TestApproximateBackends:
             np.testing.assert_array_equal(iids, eids)
             np.testing.assert_allclose(iscores, escores, rtol=1e-12)
 
-    @pytest.mark.parametrize("factory", [
-        lambda: IVFIndex(nprobe=16),
-        lambda: HNSWIndex(m=12, ef_construction=64, ef_search=128),
-    ])
-    def test_recall_at_10(self, factory):
+    def test_recall_at_10(self):
         rng = np.random.default_rng(5)
         vectors = _pool(rng, size=1024)
         queries = rng.standard_normal((32, 8))
         exact, _ = ExactIndex().build(vectors).search(queries, k=10)
-        found, _ = factory().build(vectors).search(queries, k=10)
+        found, _ = IVFIndex(nprobe=16).build(vectors).search(queries, k=10)
         recall = np.mean([
             len(set(ids.tolist()) & set(eids.tolist())) / 10
             for (ids, _), (eids, _) in zip(found, exact)
@@ -162,7 +159,6 @@ class TestApproximateBackends:
 
     @pytest.mark.parametrize("backend,params", [
         ("ivf", {"nprobe": 4}),
-        ("hnsw", {"m": 8, "ef_construction": 32, "ef_search": 24}),
     ])
     def test_build_and_search_are_deterministic(self, backend, params):
         rng = np.random.default_rng(6)
@@ -192,9 +188,9 @@ class TestApproximateBackends:
         rng = np.random.default_rng(7)
         vectors = _pool(rng, size=400)
         query = rng.standard_normal(8)
-        for index in (IVFIndex(nprobe=2), HNSWIndex(ef_search=16)):
-            (ids, scores), = index.build(vectors).search(query, k=6)[0]
-            np.testing.assert_allclose(scores, vectors[ids] @ query, rtol=1e-12)
+        index = IVFIndex(nprobe=2).build(vectors)
+        (ids, scores), = index.search(query, k=6)[0]
+        np.testing.assert_allclose(scores, vectors[ids] @ query, rtol=1e-12)
 
     def test_last_candidates_is_sublinear(self):
         rng = np.random.default_rng(8)
@@ -208,7 +204,6 @@ class TestPersistence:
     @pytest.mark.parametrize("factory", [
         lambda: ExactIndex(block_size=16),
         lambda: IVFIndex(nprobe=3, seed=2),
-        lambda: HNSWIndex(m=8, ef_construction=32, ef_search=20, seed=2),
     ])
     def test_roundtrip_preserves_results(self, factory, tmp_path):
         rng = np.random.default_rng(9)
@@ -232,6 +227,19 @@ class TestPersistence:
         path = tmp_path / "not_an_index.npz"
         np.savez(path, embeddings=np.zeros((3, 2)))
         with pytest.raises(ReproError, match="not a repro vector index"):
+            load_index(path)
+
+    def test_retired_backend_archive_raises(self, tmp_path):
+        # A graph-index archive written by an older build, whose backend
+        # has since been deleted, must fail typed, not with a KeyError.
+        path = tmp_path / "retired.npz"
+        meta = {"format": "repro-index", "version": 1, "backend": "hnsw",
+                "dim": 2, "size": 3, "params": {"seed": 0}}
+        np.savez(path, vectors=np.zeros((3, 2)),
+                 levels=np.zeros(3, dtype=np.int64),
+                 entry=np.zeros(2, dtype=np.int64),
+                 __meta__=np.asarray(json.dumps(meta)))
+        with pytest.raises(ReproError, match="unknown index backend"):
             load_index(path)
 
     def test_c007_findings_on_mismatch(self):
@@ -284,8 +292,8 @@ class TestEngineIntegration:
     def test_known_edges_stay_excluded(self, store, taobao_split):
         graph = taobao_split.train_graph
         engine = self._engine(
-            store, graph, index="hnsw", min_index_size=2,
-            index_params={"ef_search": 64, "seed": 0},
+            store, graph, index="ivf", min_index_size=2,
+            index_params={"nprobe": 2, "seed": 0},
         )
         sources = self._sources(graph, count=6)
         for source, (ids, _) in zip(
@@ -295,6 +303,9 @@ class TestEngineIntegration:
             banned = set(graph.neighbors(source, "page_view").tolist())
             banned.add(source)
             assert not set(ids.tolist()) & banned
+        # The probe pruned clusters: this exercised the ANN path, not a scan.
+        (index, _, _), = engine._indexes.values()
+        assert index.nprobe < len(index.state_arrays()["centroids"])
 
     def test_concurrent_ivf_reads_count_their_own_candidates(self, store, taobao_split,
                                                              monkeypatch):
@@ -352,16 +363,9 @@ class TestEngineIntegration:
         engine.topk_batch(self._sources(graph, "page_view"), "page_view", k=3)
         assert engine.stats.index_builds == 3  # re-fetch implies rebuild
 
-    @pytest.mark.parametrize("on_stale,extra_builds,fallbacks", [
-        ("rebuild", 1, 0),
-        ("exact", 0, 10),
-    ])
-    def test_stale_entry_policy(self, store, taobao_split, on_stale,
-                                extra_builds, fallbacks):
+    def test_stale_entry_is_rebuilt(self, store, taobao_split):
         graph = taobao_split.train_graph
-        engine = self._engine(
-            store, graph, index="ivf", min_index_size=2, on_stale=on_stale
-        )
+        engine = self._engine(store, graph, index="ivf", min_index_size=2)
         sources = self._sources(graph)
         engine.topk_batch(sources, "page_view", k=4)
         # Tamper the recorded table version: the defensive path for an
@@ -369,9 +373,11 @@ class TestEngineIntegration:
         (key, (index, _, pool_len)), = engine._indexes.items()
         engine._indexes[key] = (index, -1, pool_len)
         engine.topk_batch(sources, "page_view", k=4)
-        assert engine.stats.index_builds == 1 + extra_builds
-        assert engine.stats.exact_fallbacks == fallbacks
-        assert key not in engine._indexes or on_stale == "rebuild"
+        assert engine.stats.index_builds == 2
+        assert engine.stats.exact_fallbacks == 0
+        rebuilt, version, _ = engine._indexes[key]
+        assert rebuilt is not index
+        assert version == engine.cache.version("page_view")
 
     def test_pool_length_mismatch_counts_as_stale(self, store, taobao_split):
         graph = taobao_split.train_graph

@@ -64,3 +64,48 @@ def test_failure_exits_nonzero(tmp_path, monkeypatch):
         ["verify", "--suite", "golden", "--datasets", "amazon", "--models", "DeepWalk"]
     )
     assert exit_code == 1
+
+
+_SUITE_RUNNERS = ("run_gradcheck_suite", "run_oracle_suite", "index_oracles",
+                  "service_oracles", "concurrency_oracles", "alloc_oracles",
+                  "verify_golden")
+
+
+def _stub_verify(monkeypatch):
+    """Replace both refreshes and every suite runner by call recorders."""
+    import repro.check
+    from repro import verify
+
+    calls = []
+
+    def recorder(name, result):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return result
+        return record
+
+    monkeypatch.setattr(verify, "refresh_golden",
+                        recorder("refresh_golden", []))
+    monkeypatch.setattr(verify, "refresh_alloc_budgets",
+                        recorder("refresh_alloc_budgets", {}))
+    for name in _SUITE_RUNNERS:
+        monkeypatch.setattr(verify, name, recorder(name, []))
+    monkeypatch.setattr(repro.check, "run_transfer_suite",
+                        recorder("run_transfer_suite", []))
+    return calls
+
+
+@pytest.mark.parametrize("flag,refresh", [
+    ("--refresh-golden", "refresh_golden"),
+    ("--refresh-alloc-budgets", "refresh_alloc_budgets"),
+])
+def test_refresh_runs_no_suite_by_default(monkeypatch, flag, refresh):
+    calls = _stub_verify(monkeypatch)
+    assert main(["verify", flag]) == 0
+    assert calls == [refresh]
+
+
+def test_refresh_then_runs_the_named_suite(monkeypatch):
+    calls = _stub_verify(monkeypatch)
+    assert main(["verify", "--refresh-golden", "--suite", "gradcheck"]) == 0
+    assert calls == ["refresh_golden", "run_gradcheck_suite"]
