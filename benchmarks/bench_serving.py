@@ -1,7 +1,8 @@
 """Micro-benchmarks: the batch serving engine vs the scalar references.
 
-Each case times the retained ``_reference_*`` (pre-engine, one-source-at-a-
-time) recommendation paths against :class:`repro.serving.BatchServingEngine`
+Each case times the ``_reference_*`` (pre-engine, one-source-at-a-time)
+recommendation paths of :mod:`repro.verify.references` against
+:class:`repro.serving.BatchServingEngine`
 on the same workload and reports the speedup.  A second section
 (``index_sweep``) scales a synthetic candidate pool to 10^6 vectors and
 measures the IVF backend of :mod:`repro.serving.index` against the exact
@@ -32,12 +33,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.core import EmbeddingStore, Recommender
+from repro.core import EmbeddingStore
 from repro.datasets import load_dataset
-from repro.eval.ranking import _reference_ranked_candidates
 from repro.experiments.profiles import get_profile
 from repro.perf import Timer
 from repro.serving import BatchServingEngine
+from repro.verify.references import (
+    _reference_ranked_candidates,
+    _reference_recommend_batch,
+    _reference_similar_nodes,
+)
 
 
 def _time(fn: Callable[[], object], repeats: int = 5) -> float:
@@ -73,40 +78,40 @@ def _random_store(graph, dim: int = 32, seed: int = 0) -> EmbeddingStore:
 # ----------------------------------------------------------------------
 # Cases
 # ----------------------------------------------------------------------
-def bench_recommend_batch(recommender, sources, relation,
+def bench_recommend_batch(engine, sources, relation,
                           k: int) -> Dict[str, float]:
     """The acceptance-criterion case: batched top-K vs the scalar loop."""
+    store, graph = engine.model, engine.graph
     return _case(
         "recommend_batch",
-        lambda: recommender._reference_recommend_batch(sources, relation, k=k),
-        lambda: recommender.recommend_batch(sources, relation, k=k),
+        lambda: _reference_recommend_batch(store, graph, sources, relation, k=k),
+        lambda: engine.recommend_batch(sources, relation, k=k),
     )
 
 
-def bench_similar_nodes(recommender, nodes, relation, k: int) -> Dict[str, float]:
+def bench_similar_nodes(engine, nodes, relation, k: int) -> Dict[str, float]:
+    store, graph = engine.model, engine.graph
     return _case(
         "similar_nodes",
         lambda: [
-            recommender._reference_similar_nodes(int(n), relation, k=k)
+            _reference_similar_nodes(store, graph, int(n), relation, k=k)
             for n in nodes
         ],
-        lambda: recommender.engine.similar_batch(nodes, relation, k=k),
+        lambda: engine.similar_batch(nodes, relation, k=k),
     )
 
 
-def bench_rank_sources(recommender, sources, relation,
+def bench_rank_sources(engine, sources, relation,
                        target_type: str) -> Dict[str, float]:
     """The ranking evaluator's per-source workload (full orderings)."""
-    store, graph = recommender.model, recommender.graph
+    store, graph = engine.model, engine.graph
     return _case(
         "rank_sources",
         lambda: [
             _reference_ranked_candidates(store, graph, int(s), relation, target_type)
             for s in sources
         ],
-        lambda: recommender.engine.rank_all(
-            sources, relation, target_type=target_type
-        ),
+        lambda: engine.rank_all(sources, relation, target_type=target_type),
     )
 
 
@@ -183,7 +188,7 @@ def run_all(profile=None, smoke: bool = False) -> Dict[str, object]:
     graph = dataset.graph
     relation = graph.schema.relationships[0]
     store = _random_store(graph)
-    recommender = Recommender(store, graph)
+    engine = BatchServingEngine(store, graph)
 
     degrees = graph.degrees(relation)
     sources = np.flatnonzero(degrees > 0)[:num_sources]
@@ -191,10 +196,10 @@ def run_all(profile=None, smoke: bool = False) -> Dict[str, object]:
     probe_nodes = graph.nodes_of_type(target_type)[: max(16, num_sources // 4)]
 
     cases: List[Dict[str, float]] = [
-        bench_recommend_batch(recommender, sources, relation, k),
-        bench_similar_nodes(recommender, probe_nodes, relation, k),
+        bench_recommend_batch(engine, sources, relation, k),
+        bench_similar_nodes(engine, probe_nodes, relation, k),
         bench_rank_sources(
-            recommender, sources[: num_sources // 2], relation, target_type
+            engine, sources[: num_sources // 2], relation, target_type
         ),
     ]
     return {
@@ -207,7 +212,7 @@ def run_all(profile=None, smoke: bool = False) -> Dict[str, object]:
             "relation": relation,
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "serving_stats": recommender.engine.latency_report(),
+        "serving_stats": engine.latency_report(),
         "cases": {case["name"]: case for case in cases},
         "index_sweep": bench_index_sweep(smoke),
     }

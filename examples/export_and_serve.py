@@ -6,8 +6,8 @@ embeddings.  This example walks that split:
 
 1. *offline*: train HybridGNN, checkpoint the model, export the
    per-relationship embedding matrices to one .npz file;
-2. *online*: load only the export (no model code needed), wrap it in the
-   :class:`~repro.core.recommender.Recommender`, and answer top-K and
+2. *online*: load only the export (no model code needed), serve it through
+   the :class:`~repro.serving.BatchServingEngine`, and answer top-K and
    similar-item queries;
 3. verify the served scores exactly match the live model's.
 
@@ -24,7 +24,6 @@ import numpy as np
 from repro.core import (
     HybridGNN,
     HybridGNNConfig,
-    Recommender,
     SkipGramTrainer,
     TrainerConfig,
     export_embeddings,
@@ -33,6 +32,7 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.datasets import load_dataset, split_edges
+from repro.serving import BatchServingEngine
 
 
 def main() -> None:
@@ -68,13 +68,13 @@ def main() -> None:
 
         print("\n== online: serve from the export only ==")
         store = load_embeddings(embeddings)
-        recommender = Recommender(store, split.train_graph)
+        engine = BatchServingEngine(store, split.train_graph)
         item = int(split.train_graph.nodes_of_type("item")[0])
-        recs = recommender.recommend(item, "common_bought", k=5)
+        recs = engine.recommend(item, "common_bought", k=5)
         print(f"top-5 'common_bought' for item {item}:")
         for rec in recs:
             print(f"  item {rec.node}: score {rec.score:.3f}")
-        similar = recommender.similar_nodes(item, "common_viewed", k=3)
+        similar = engine.similar_nodes(item, "common_viewed", k=3)
         print(f"3 most similar items under 'common_viewed': "
               f"{[r.node for r in similar]}")
 

@@ -45,8 +45,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core import Recommender, export_embeddings, load_embeddings, save_checkpoint
+from repro.core import export_embeddings, load_embeddings, save_checkpoint
 from repro.datasets import available_datasets, load_dataset, split_edges
+from repro.errors import ReproError
 from repro.eval import evaluate_link_prediction, evaluate_ranking
 from repro.experiments import MODEL_NAMES, get_profile, make_model
 from repro.experiments import figures as figures_mod
@@ -149,6 +150,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    from repro.serving import BatchServingEngine
+
     if args.node is None and not args.nodes:
         print("error: pass --node ID or --nodes ID,ID,... for batch mode",
               file=sys.stderr)
@@ -156,15 +159,14 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     split = split_edges(dataset.graph, rng=args.seed + 10_000)
     store = load_embeddings(args.embeddings)
-    engine_options: dict = {"index": args.index}
     index_params = {"seed": args.seed}
     if args.nprobe is not None:
         index_params["nprobe"] = args.nprobe
-    engine_options["index_params"] = index_params
-    recommender = Recommender(store, split.train_graph, engine_options)
+    engine = BatchServingEngine(store, split.train_graph, index=args.index,
+                                index_params=index_params)
     if args.nodes:
         sources = [int(token) for token in args.nodes.split(",") if token.strip()]
-        lists = recommender.recommend_batch(sources, args.relation, k=args.k)
+        lists = engine.recommend_batch(sources, args.relation, k=args.k)
         rows = [
             [source, rec.node, rec.score]
             for source, recs in zip(sources, lists)
@@ -176,8 +178,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                    f"for {len(sources)} nodes (batch)"),
         ))
         if args.stats:
-            print(recommender.engine.profiler.summary())
-            stats = recommender.engine.stats.to_dict()
+            print(engine.profiler.summary())
+            stats = engine.stats.to_dict()
             latency = stats["latency_ms"]
             print(
                 f"requests {stats['requests']}, sources {stats['sources']}, "
@@ -188,7 +190,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 f"p95 {latency['p95']:.2f}ms / p99 {latency['p99']:.2f}ms"
             )
         return 0
-    recs = recommender.recommend(args.node, args.relation, k=args.k)
+    recs = engine.recommend(args.node, args.relation, k=args.k)
     rows = [[rec.node, rec.score] for rec in recs]
     print(format_table(
         ["Node", "Score"], rows,
@@ -595,7 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,6 @@ from repro.core.features import (
     ProjectedFeatures,
     make_feature_source,
 )
-from repro.core.recommender import Recommendation, Recommender
 from repro.core.persistence import (
     EmbeddingStore,
     export_embeddings,
@@ -42,8 +41,6 @@ __all__ = [
     "RelationshipLevelAttention",
     "skip_gram_loss",
     "softplus",
-    "Recommender",
-    "Recommendation",
     "LearnedFeatures",
     "ProjectedFeatures",
     "make_feature_source",

@@ -196,7 +196,7 @@ class EmbeddingStore:
     """Read-only relationship-specific embeddings loaded from disk.
 
     Satisfies the ``RelationEmbedder`` protocol, so it can be dropped into
-    the evaluators and the :class:`~repro.core.recommender.Recommender` in
+    the evaluators and the :class:`~repro.serving.BatchServingEngine` in
     place of a live model.
     """
 

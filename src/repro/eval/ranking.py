@@ -9,9 +9,9 @@ nodes — which is why the paper's absolute values are small.
 
 Ranking is served by :class:`repro.serving.BatchServingEngine` (each
 relation's embedding table fetched once, mask-based candidate pools); the
-historical per-source loop survives as :func:`_reference_ranked_candidates`
-and is held bit-identical to the engine by the ``serving`` differential
-oracles.
+historical per-source loop survives as
+:func:`repro.verify.references._reference_ranked_candidates` and is held
+bit-identical to the engine by the ``serving`` differential oracles.
 """
 
 from __future__ import annotations
@@ -55,31 +55,6 @@ class RankingReport:
 
     def __getitem__(self, metric: str) -> float:
         return self.overall[metric]
-
-
-def _reference_ranked_candidates(
-    model: RelationEmbedder,
-    train_graph: MultiplexHeteroGraph,
-    source: int,
-    relation: str,
-    target_type: str,
-) -> np.ndarray:
-    """The pre-engine per-source ranking: set-built pool, re-fetched
-    embeddings, full stable argsort.  Kept as the differential-oracle truth
-    for the serving engine's ``rank_all``."""
-    candidates = train_graph.nodes_of_type(target_type)
-    known = set(train_graph.neighbors(source, relation).tolist())
-    known.add(source)
-    mask = np.fromiter(
-        (c not in known for c in candidates), dtype=bool, count=len(candidates)
-    )
-    pool = candidates[mask]
-    if len(pool) == 0:
-        return pool
-    src_emb = model.node_embeddings(np.asarray([source]), relation)[0]
-    pool_emb = model.node_embeddings(pool, relation)
-    scores = pool_emb @ src_emb
-    return pool[np.argsort(-scores, kind="stable")]
 
 
 def evaluate_ranking(

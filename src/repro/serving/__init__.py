@@ -7,13 +7,13 @@ for these sources under this relationship" by
 
 - precomputing per-node-type candidate pools as reusable boolean masks and
   per-relation CSR exclusion lists (:class:`CandidatePools`),
-- fetching each relationship's full embedding table **once** per batch
-  through an LRU cache (:class:`RelationEmbeddingCache`) instead of
-  re-gathering per source,
+- fetching each relationship's full embedding table **once** and keeping
+  it resident (:class:`RelationEmbeddingCache`) instead of re-gathering
+  per source,
 - routing retrieval through a swappable :class:`VectorIndex` backend —
   ``exact`` (one matmul against the pool plus a stable top-K extraction,
-  bit-identical list order to the scalar reference paths kept on
-  :class:`repro.core.recommender.Recommender`), or the sub-linear ``ivf``
+  bit-identical list order to the scalar reference paths kept in
+  :mod:`repro.verify.references`), or the sub-linear ``ivf``
   approximate backend (:class:`IVFIndex`), which prunes the candidate
   *set* but still scores surfaced candidates with exact dot products
   (recall-gated by ``repro verify --suite index``).
@@ -27,7 +27,7 @@ Request-level latency/throughput is recorded through
 On top of the engine sits the *online* layer: :class:`DeltaGraphView`
 (streaming graph ingestion — append-only edge deltas over the frozen CSR,
 merged views bit-identical to a from-scratch rebuild, threshold-driven
-compaction with version-clock cache/index invalidation) and
+compaction that drops the engine's cached tables and indexes) and
 :class:`RecommendService` (micro-batched ``recommend`` / ``similar`` /
 ``feedback`` endpoints behind a bounded admission queue, with
 per-endpoint latency percentiles and cold-start node handling).  Seeded
@@ -38,6 +38,7 @@ mixed-traffic traces for tests, oracles and benchmarks live in
 from repro.serving.deltas import DeltaGraphView, EdgeDeltaBuffer
 from repro.serving.engine import (
     BatchServingEngine,
+    Recommendation,
     RelationEmbeddingCache,
     ServingStats,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "INDEX_BACKENDS",
     "IVFIndex",
     "RecommendService",
+    "Recommendation",
     "RelationEmbeddingCache",
     "ServiceConfig",
     "ServingStats",

@@ -5,8 +5,8 @@ relationship-specific embedding against every candidate's; serving a batch
 is therefore one matrix multiply against the relation's embedding table.
 The engine organises the whole hot path around that observation:
 
-- the table is fetched **once** per relation through an LRU cache
-  (``serving.embeddings`` stage) instead of twice per source;
+- the table is fetched **once** per relation and stays resident
+  (``serving.embeddings`` stage) instead of being fetched twice per source;
 - candidate pools come from :class:`~repro.serving.pools.CandidatePools`
   ascending-id type pools plus a CSR exclusion scatter (``serving.pool``),
   not per-source Python sets;
@@ -24,8 +24,8 @@ The approximate backend falls back to the exact path — counted in
 (a full ordering cannot be pruned).  A cached index that went stale is
 rebuilt on its next use.
 
-The scalar pre-engine implementations survive as ``_reference_*`` methods
-on :class:`repro.core.recommender.Recommender` and are compared against the
+The scalar pre-engine implementations survive as the ``_reference_*``
+functions of :mod:`repro.verify.references` and are compared against the
 engine by the ``serving`` differential oracles in
 :mod:`repro.verify.oracles`; approximate backends are recall-gated by the
 ``index`` oracle suite.
@@ -41,14 +41,14 @@ lock exclusive).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ReproError
 from repro.perf import StageProfiler, Timer
 from repro.serving.index import (
     VectorIndex,
@@ -64,6 +64,7 @@ from repro.utils.concurrency import checked_lock, register_shared_region
 
 __all__ = [
     "BatchServingEngine",
+    "Recommendation",
     "RelationEmbeddingCache",
     "ServingStats",
 ]
@@ -78,6 +79,32 @@ _EMPTY_SCORES = np.empty(0, dtype=np.float64)
 # (or two services) must never share a latency window, or one's traffic
 # pollutes the other's percentiles.
 _LATENCY_WINDOW = 65536
+
+# Sources scored per matmul block: bounds the (block, pool) score matrix.
+_BLOCK_SIZE = 256
+
+
+@dataclass(frozen=True)
+class Recommendation:
+    """One scored candidate."""
+
+    node: int
+    score: float
+
+
+def check_node_ids(nodes: Sequence[int], num_nodes: int,
+                   error: Type[ReproError]) -> np.ndarray:
+    """``nodes`` as an int64 array, or ``error`` naming the first id
+    outside the dense id range ``[0, num_nodes)``."""
+    ids = np.asarray(nodes, dtype=np.int64)
+    if ids.size:
+        bad = (ids < 0) | (ids >= num_nodes)
+        if bad.any():
+            raise error(
+                f"unknown node id {int(ids[bad][0])} (graph has "
+                f"{num_nodes} nodes)"
+            )
+    return ids
 
 
 def _percentiles(samples: Sequence[float]) -> Dict[str, float]:
@@ -143,40 +170,37 @@ class ServingStats:
 
 
 class RelationEmbeddingCache:
-    """LRU cache of full per-relation embedding tables.
+    """Resident full per-relation embedding tables.
 
     One ``model.node_embeddings(arange(num_nodes), relation)`` call per
-    cached relation — the fix for the ``recommend_batch`` refetch bug.  Row
-    norms (for cosine similarity) are cached alongside each table.
+    relation — the fix for the ``recommend_batch`` refetch bug.  Tables
+    stay resident until :meth:`resize` (every wrapped model already keeps
+    each relation's full table, so bounding the copies saves nothing).
+    Row norms (for cosine similarity) are cached alongside each table.
 
     Each fetch-on-miss bumps the relation's **version**; anything derived
     from a table (the engine's ANN indexes) records the version it was
-    built against and treats a mismatch as staleness.  Explicit
-    :meth:`invalidate` calls and LRU evictions notify registered listeners
-    so derived state is dropped eagerly, not discovered stale later.
+    built against and treats a mismatch as staleness.
 
-    One lock, ``_lock``, guards the LRU bookkeeping, the table fill and
-    the norms, and so serialises every call into the model: a fill may
-    advance and then restore the model's sampler streams
+    One lock, ``_lock``, guards the tables, the norms and the versions,
+    and so serialises every call into the model: a fill may advance and
+    then restore the model's sampler streams
     (``HybridGNN.node_embeddings``), which two fills must not interleave.
-    Listeners run under it.
     """
 
-    def __init__(self, model, num_nodes: int, capacity: int = 4):
+    def __init__(self, model, num_nodes: int):
         self.model = model
         self.num_nodes = num_nodes  # repro-lint: guarded-by=_lock
-        self.capacity = max(1, int(capacity))
         self._lock = checked_lock("serving.cache._lock")
         self._region = register_shared_region(
             "serving.cache", guard="serving.cache._lock",
-            reason="LRU tables, norms, versions and hit counters, touched "
-                   "by concurrent reads",
+            reason="tables, norms, versions and hit counters, touched by "
+                   "concurrent reads",
         )
-        self._tables: "OrderedDict[str, np.ndarray]" = OrderedDict()  # repro-lint: guarded-by=_lock
+        self._tables: Dict[str, np.ndarray] = {}  # repro-lint: guarded-by=_lock
         self._norms: Dict[str, np.ndarray] = {}  # repro-lint: guarded-by=_lock
         self._versions: Dict[str, int] = {}  # repro-lint: guarded-by=_lock
         self._version_clock = 0  # repro-lint: guarded-by=_lock
-        self._listeners: List[Callable[[str], None]] = []
         self.hits = 0  # repro-lint: guarded-by=_lock
         self.misses = 0  # repro-lint: guarded-by=_lock
 
@@ -187,7 +211,6 @@ class RelationEmbeddingCache:
 
     def _table(self, relation: str) -> np.ndarray:  # repro-lint: holds=_lock
         if relation in self._tables:
-            self._tables.move_to_end(relation)
             self.hits += 1
             return self._tables[relation]
         self.misses += 1
@@ -203,10 +226,6 @@ class RelationEmbeddingCache:
         self._tables[relation] = table
         self._version_clock += 1
         self._versions[relation] = self._version_clock
-        while len(self._tables) > self.capacity:
-            evicted, _ = self._tables.popitem(last=False)
-            self._norms.pop(evicted, None)
-            self._notify(evicted)
         return table
 
     def norms(self, relation: str) -> np.ndarray:
@@ -222,42 +241,18 @@ class RelationEmbeddingCache:
         """Monotonic fetch counter for ``relation`` (0 = never fetched).
 
         The version identifies *which* table snapshot is resident: a
-        re-fetch after invalidation or eviction yields a new version even
-        if the model's parameters did not change.
+        re-fetch after :meth:`resize` yields a new version even if the
+        model's parameters did not change.
         """
         with self._lock:
             return self._versions.get(relation, 0)
-
-    def invalidate(self, relation: Optional[str] = None) -> None:
-        """Drop cached table(s) so the next access re-fetches from the model.
-
-        With ``relation=None`` everything is dropped.  Listeners are
-        notified per dropped relation (the engine uses this to retire
-        derived ANN indexes).
-        """
-        with self._lock, self._region:
-            self._invalidate(relation)
 
     def resize(self, num_nodes: int) -> None:
         """Size later fills to ``num_nodes`` rows and drop every table."""
         with self._lock, self._region:
             self.num_nodes = num_nodes
-            self._invalidate(None)
-
-    def _invalidate(self, relation: Optional[str]) -> None:  # repro-lint: holds=_lock
-        targets = [relation] if relation is not None else list(self._tables)
-        for name in targets:
-            self._tables.pop(name, None)
-            self._norms.pop(name, None)
-            self._notify(name)
-
-    def add_invalidation_listener(self, listener: Callable[[str], None]) -> None:
-        """Register ``listener(relation)`` for invalidations and evictions."""
-        self._listeners.append(listener)
-
-    def _notify(self, relation: str) -> None:
-        for listener in self._listeners:
-            listener(relation)
+            self._tables.clear()
+            self._norms.clear()
 
     @property
     def cached_relations(self) -> List[str]:
@@ -274,11 +269,6 @@ class BatchServingEngine:
         Anything satisfying the ``RelationEmbedder`` protocol.
     graph:
         The training graph defining candidate pools and known edges.
-    cache_capacity:
-        Number of relation embedding tables kept resident (LRU).
-    block_size:
-        Sources scored per matmul block — bounds the (block, num_nodes)
-        score matrix.
     profiler:
         Optional shared :class:`StageProfiler`; a private one is created
         when omitted.
@@ -296,29 +286,22 @@ class BatchServingEngine:
         cold-start nodes live.
     """
 
-    def __init__(self, model, graph, *, cache_capacity: int = 4,
-                 block_size: int = 256,
+    def __init__(self, model, graph, *,
                  profiler: Optional[StageProfiler] = None,
                  index: str = "exact",
                  index_params: Optional[Dict[str, object]] = None,
-                 min_index_size: int = 32,
-                 latency_window: int = _LATENCY_WINDOW):
+                 min_index_size: int = 32):
         self.model = model
         self.graph = graph
         self.pools = CandidatePools(graph)
-        self.cache = RelationEmbeddingCache(
-            model, graph.num_nodes, capacity=cache_capacity
-        )
-        self.block_size = max(1, int(block_size))
+        self.cache = RelationEmbeddingCache(model, graph.num_nodes)
         self.profiler = profiler if profiler is not None else StageProfiler()
-        self.stats = ServingStats(window=latency_window)
+        self.stats = ServingStats()
         self.index_backend = index
         self.index_params = dict(index_params or {})
         self.min_index_size = max(0, int(min_index_size))
         # Fail fast on unknown backends (make_index validates the name).
         make_index(index, **self.index_params)
-        # Taken after the cache's lock (its listeners retire indexes),
-        # never before it.
         self._index_lock = checked_lock("serving.engine._index_lock")
         self._index_region = register_shared_region(
             "serving.indexes", guard="serving.engine._index_lock",
@@ -328,16 +311,10 @@ class BatchServingEngine:
         self._indexes: Dict[  # repro-lint: guarded-by=_index_lock
             Tuple[str, str, str], Tuple[VectorIndex, int, int]
         ] = {}
-        self.cache.add_invalidation_listener(self._drop_indexes_for)
 
     # ------------------------------------------------------------------
     # Index lifecycle
     # ------------------------------------------------------------------
-    def _drop_indexes_for(self, relation: str) -> None:
-        with self._index_lock, self._index_region:
-            for key in [key for key in self._indexes if key[0] == relation]:
-                del self._indexes[key]
-
     def refresh_topology(self) -> None:
         """Re-derive pool/cache state after the graph's node set changed.
 
@@ -345,14 +322,12 @@ class BatchServingEngine:
         cold-start nodes arrive, compaction swaps the base.  Candidate
         pools precompute per-type masks sized to ``num_nodes`` and the
         embedding cache validates tables against it, so both must be
-        rebuilt when the topology moves.  Dropping the cached tables
-        notifies listeners, which retires every resident ANN index (the
-        version-clock invalidation the delta layer's compaction contract
-        requires).  This is a write: no read may run beside it.
+        rebuilt when the topology moves.  Every resident ANN index is
+        retired with them (the invalidation the delta layer's compaction
+        contract requires).  This is a write: no read may run beside it.
         """
         self.pools = CandidatePools(self.graph)
         self.cache.resize(self.graph.num_nodes)
-        # Indexes for never-cached relations are keyed on stale pools too.
         with self._index_lock, self._index_region:
             self._indexes.clear()
 
@@ -425,7 +400,7 @@ class BatchServingEngine:
         """
         if k <= 0:
             raise EvaluationError(f"k must be positive, got {k}")
-        sources = np.asarray(sources, dtype=np.int64)
+        sources = check_node_ids(sources, self.graph.num_nodes, EvaluationError)
         self.stats.count(requests=1, sources=len(sources))
         with Timer() as timer:
             results: List[Tuple[np.ndarray, np.ndarray]] = (
@@ -437,8 +412,8 @@ class BatchServingEngine:
                 if ttype is None:
                     continue  # cold and unresolvable: empty result, no crash
                 group = sources[positions]
-                for start in range(0, len(group), self.block_size):
-                    block = slice(start, start + self.block_size)
+                for start in range(0, len(group), _BLOCK_SIZE):
+                    block = slice(start, start + _BLOCK_SIZE)
                     for offset, item in enumerate(self._topk_block(
                         group[block], relation, k, ttype, exclude_known
                     )):
@@ -531,14 +506,12 @@ class BatchServingEngine:
             ]
 
     # ------------------------------------------------------------------
-    # Recommendation API (mirrors the Recommender facade)
+    # Recommendation API
     # ------------------------------------------------------------------
     def recommend_batch(self, sources: Sequence[int], relation: str,
                         k: int = 10, target_type: Optional[str] = None,
                         exclude_known: bool = True):
         """Top-``k`` :class:`Recommendation` lists for several sources."""
-        from repro.core.recommender import Recommendation
-
         # .tolist() already yields Python scalars; positional construction
         # keeps this loop (k objects per source) off the hot-path profile.
         return [
@@ -573,7 +546,7 @@ class BatchServingEngine:
         """
         if k <= 0:
             raise EvaluationError(f"k must be positive, got {k}")
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = check_node_ids(nodes, self.graph.num_nodes, EvaluationError)
         self.stats.count(requests=1, sources=len(nodes))
         with Timer() as timer:
             with self.profiler.stage("serving.embeddings"):
@@ -639,8 +612,6 @@ class BatchServingEngine:
 
     def similar_batch(self, nodes: Sequence[int], relation: str, k: int = 10):
         """Top-``k`` :class:`Recommendation` lists of similar nodes."""
-        from repro.core.recommender import Recommendation
-
         return [
             [
                 Recommendation(node, score)
@@ -669,7 +640,7 @@ class BatchServingEngine:
         table-level matrix-vector products, which are bit-identical to the
         scalar reference's gathered dot products.
         """
-        sources = np.asarray(sources, dtype=np.int64)
+        sources = check_node_ids(sources, self.graph.num_nodes, EvaluationError)
         self.stats.count(requests=1, sources=len(sources))
         if self.index_backend != "exact":
             self.stats.count(exact_fallbacks=len(sources))

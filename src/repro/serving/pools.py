@@ -2,10 +2,11 @@
 
 A serving request needs, per source node, the candidate set "every node of
 the target type, minus the source, minus (optionally) its known neighbors".
-Building that pool with Python sets per request is what made the original
-``Recommender.recommend_batch`` loop slow; :class:`CandidatePools` instead
-precomputes one boolean mask per node type (reused, never mutated) and lets
-the engine knock out per-source exclusions via the graph's CSR adjacency.
+Building that pool with Python sets per request is what makes the scalar
+reference loop (:mod:`repro.verify.references`) slow;
+:class:`CandidatePools` instead precomputes one boolean mask per node type
+(reused, never mutated) and lets the engine knock out per-source
+exclusions via the graph's CSR adjacency.
 
 The pools also own *target-type inference*: when a caller omits
 ``target_type``, the type is resolved from the source's existing neighbors

@@ -28,7 +28,7 @@ router/service split a production recommender backend deploys:
   registers the node first, its type resolved by the schema-level
   endpoint-type inference (:func:`~repro.serving.pools
   .relation_endpoint_types`) unless given explicitly, and the node is
-  servable immediately — its embedding rows are padded by
+  servable immediately — its embedding rows are zero-padded by
   :class:`ColdStartEmbedder` until the model learns it;
 - **per-endpoint latency percentiles**: every request records its
   queue-wait-plus-execution latency into that endpoint's own
@@ -47,8 +47,8 @@ pool).  A write batch waits for the reads in flight to drain, and reads
 that arrive while it waits queue behind it, so a stream of reads cannot
 starve a write.  Between compactions, reads see merged (CSR + delta)
 views that are bit-identical to a from-scratch rebuild; at compaction
-the engine's embedding cache is invalidated, cascading to resident ANN
-indexes via the cache's version-clock listeners.
+the engine's topology refresh drops the embedding cache and every
+resident ANN index.
 
 Lock discipline (machine-checked; see DESIGN.md "Lock-discipline
 contract"): admission/batching state is guarded by ``_cond``, the graph
@@ -56,8 +56,8 @@ view by the exclusive side of ``_exec_lock`` — the ``guarded-by``
 annotations below drive lint rule R009, which counts ``with
 self._exec_lock.shared():`` as not holding the guard.  The state that
 concurrent reads do write (engine counters, the embedding cache, lazy
-candidate pools, ANN index builds, the cold-start fills, stage timings,
-the view's merged-CSR splice) has one guard each, taken after
+candidate pools, ANN index builds, stage timings, the view's merged-CSR
+splice) has one guard each, taken after
 ``_exec_lock`` (DESIGN.md lists them and the one order they nest in).
 All locks are :mod:`repro.utils.concurrency` checked primitives feeding the
 opt-in runtime lock-order sanitizer.  ``_cond`` and ``_exec_lock`` are
@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -80,11 +81,10 @@ import numpy as np
 from repro.errors import QueueFullError, ServiceError
 from repro.perf import StageProfiler
 from repro.serving.deltas import DeltaGraphView
-from repro.serving.engine import BatchServingEngine, _percentiles
+from repro.serving.engine import BatchServingEngine, _percentiles, check_node_ids
 from repro.serving.pools import relation_endpoint_types
 from repro.utils.concurrency import (
     checked_condition,
-    checked_lock,
     checked_rwlock,
     register_shared_region,
 )
@@ -143,8 +143,6 @@ class ServiceConfig:
     max_queue: int = 256
     compaction_threshold: int = 512
     default_k: int = 10
-    cold_start: str = "zeros"
-    latency_window: int = _ENDPOINT_WINDOW
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -155,52 +153,21 @@ class ServiceConfig:
             raise ServiceError(
                 f"flush_interval must be >= 0, got {self.flush_interval}"
             )
-        if self.cold_start not in ("zeros", "mean"):
-            raise ServiceError(
-                f"cold_start must be 'zeros' or 'mean', got {self.cold_start!r}"
-            )
 
 
 class ColdStartEmbedder:
-    """A ``RelationEmbedder`` view that pads rows for never-trained nodes.
+    """A ``RelationEmbedder`` view that zero-pads rows for never-trained nodes.
 
     The underlying model (or :class:`~repro.core.persistence
     .EmbeddingStore`) knows ``base_num_nodes`` rows; streamed-in nodes get
-    a deterministic fill — zeros (``"zeros"``, scores every candidate
-    identically so top-K falls back to the stable ascending-id order) or
-    the table's column mean (``"mean"``, serves the "average taste"
-    recommendation until real training data arrives).  Fill vectors are
-    cached per relation and recomputed only if the base model changes
-    identity, so padding adds one gather to the cache's one-fetch path.
-    Concurrent reads may ask for the same fill at once; ``_fills_lock``
-    makes the first one compute it and the rest reuse it.
+    zero rows, which score every candidate identically, so their top-K
+    falls back to the stable ascending-id order until real training data
+    arrives.
     """
 
-    def __init__(self, model, base_num_nodes: int, mode: str = "zeros"):
+    def __init__(self, model, base_num_nodes: int):
         self.model = model
         self.base_num_nodes = int(base_num_nodes)
-        self.mode = mode
-        self._fills_lock = checked_lock("service._fills_lock")
-        self._fills: Dict[str, np.ndarray] = {}  # repro-lint: guarded-by=_fills_lock
-        self._fills_region = register_shared_region(
-            "service.cold_fills", guard="service._fills_lock",
-            reason="per-relation cold-start fill vectors, filled lazily "
-                   "by concurrent reads",
-        )
-
-    def _fill(self, relation: str, sample: np.ndarray) -> np.ndarray:
-        with self._fills_lock:
-            if relation not in self._fills:
-                if self.mode == "mean":
-                    table = np.asarray(self.model.node_embeddings(
-                        np.arange(self.base_num_nodes), relation
-                    ))
-                    fill = table.mean(axis=0)
-                else:
-                    fill = np.zeros(sample.shape[-1], dtype=sample.dtype)
-                with self._fills_region:
-                    self._fills[relation] = fill
-            return self._fills[relation]
 
     def node_embeddings(self, nodes: np.ndarray, relation: str) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -210,11 +177,9 @@ class ColdStartEmbedder:
         known = np.asarray(self.model.node_embeddings(
             nodes[warm] if warm.any() else np.arange(1), relation
         ))
-        fill = self._fill(relation, known)
-        out = np.empty((len(nodes), known.shape[-1]), dtype=known.dtype)
+        out = np.zeros((len(nodes), known.shape[-1]), dtype=known.dtype)
         if warm.any():
             out[warm] = known
-        out[~warm] = fill
         return out
 
 
@@ -225,15 +190,9 @@ class EndpointStats:
     requests: int = 0   # admitted requests (rejections not included)
     batches: int = 0    # engine flushes executed for this endpoint
     rejected: int = 0   # admissions refused with QueueFullError
-    window: int = _ENDPOINT_WINDOW
-    latencies: Optional[Deque[float]] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        from collections import deque
-
-        self.window = max(1, int(self.window))
-        if self.latencies is None:
-            self.latencies = deque(maxlen=self.window)
+    latencies: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=_ENDPOINT_WINDOW), repr=False
+    )
 
     def record_latency(self, seconds: float) -> None:
         self.latencies.append(seconds)
@@ -288,17 +247,12 @@ class RecommendService:
         :class:`~repro.serving.deltas.DeltaGraphView` to adopt.
     config:
         Request-layer tunables (:class:`ServiceConfig`).
-    engine_options:
-        Extra keyword arguments for the wrapped
-        :class:`~repro.serving.engine.BatchServingEngine` (index backend,
-        block size, ...).
     profiler:
         Optional shared :class:`StageProfiler`; service stages are
         recorded as ``service.*``, engine stages as ``serving.*``.
     """
 
     def __init__(self, model, graph, *, config: Optional[ServiceConfig] = None,
-                 engine_options: Optional[Dict[str, object]] = None,
                  profiler: Optional[StageProfiler] = None):
         self.config = config or ServiceConfig()
         if isinstance(graph, DeltaGraphView):
@@ -308,18 +262,13 @@ class RecommendService:
             self.view = DeltaGraphView(
                 graph, compaction_threshold=self.config.compaction_threshold
             )
-        self.embedder = ColdStartEmbedder(
-            model, self.view.base.num_nodes, mode=self.config.cold_start
-        )
+        self.embedder = ColdStartEmbedder(model, self.view.base.num_nodes)
         self.profiler = profiler if profiler is not None else StageProfiler()
-        options = dict(engine_options or {})
-        options.setdefault("latency_window", self.config.latency_window)
         self.engine = BatchServingEngine(
-            self.embedder, self.view, profiler=self.profiler, **options
+            self.embedder, self.view, profiler=self.profiler
         )
         self.endpoint_stats: Dict[str, EndpointStats] = {  # repro-lint: guarded-by=_cond
-            name: EndpointStats(window=self.config.latency_window)
-            for name in ENDPOINTS
+            name: EndpointStats() for name in ENDPOINTS
         }
         self.view.add_compaction_listener(self._on_compaction)
         self._cond = checked_condition("service._cond")
@@ -415,30 +364,17 @@ class RecommendService:
         check is against whatever graph epoch is current at admission.
         That is fine — node ids are dense and ``num_nodes`` only grows,
         so an id valid at admission stays valid forever.  The check is
-        still repeated under ``_exec_lock`` in :meth:`_read` (see
-        :meth:`_check_node_ids`) so execution validates against the
-        epoch it actually reads, closing the admission-to-execution
-        TOCTOU window for any future view whose id space can shrink.
+        still repeated under ``_exec_lock`` in :meth:`_read` so execution
+        validates against the epoch it actually reads, closing the
+        admission-to-execution TOCTOU window for any future view whose id
+        space can shrink.
         """
         self.view.schema.relationship_index(relation)
         k = self.config.default_k if k is None else int(k)
         if k <= 0:
             raise ServiceError(f"k must be positive, got {k}")
-        self._check_node_ids(nodes)
+        check_node_ids(nodes, self.view.num_nodes, ServiceError)
         return k
-
-    def _check_node_ids(self, nodes: Sequence[int]) -> None:
-        """Vectorised dense-id bounds check against the current epoch."""
-        ids = np.asarray(nodes, dtype=np.int64)
-        num_nodes = self.view.num_nodes
-        if ids.size:
-            bad = (ids < 0) | (ids >= num_nodes)
-            if bad.any():
-                raise ServiceError(
-                    f"unknown node id {int(ids[bad][0])} (graph has "
-                    f"{num_nodes} nodes; stream new nodes in through "
-                    "feedback first)"
-                )
 
     # ------------------------------------------------------------------
     # Admission queue + micro-batching
@@ -595,7 +531,7 @@ class RecommendService:
     def _read(self, key: tuple, payloads: list) -> list:  # repro-lint: holds=_exec_lock:shared
         """One engine call for a read batch's payloads."""
         # Execution-epoch revalidation (see _check_read).
-        self._check_node_ids(payloads)
+        check_node_ids(payloads, self.view.num_nodes, ServiceError)
         if key[0] == "recommend":
             _, relation, k, target_type, exclude_known = key
             return self.engine.topk_batch(

@@ -72,8 +72,8 @@ _TRAINING_PREFIXES = ("sampling.", "train.")
 def _serving_workload() -> Tuple[object, np.ndarray, np.ndarray]:
     """Batch recommendations + a similarity query; returns (engine, ids, scores)."""
     from repro.core.persistence import EmbeddingStore
-    from repro.core.recommender import Recommender
     from repro.datasets.zoo import load_dataset
+    from repro.serving import BatchServingEngine
 
     dataset = load_dataset("taobao", scale=0.1, seed=_CANONICAL_SEED)
     graph = dataset.graph
@@ -82,15 +82,15 @@ def _serving_workload() -> Tuple[object, np.ndarray, np.ndarray]:
         rel: rng.standard_normal((graph.num_nodes, 16))
         for rel in graph.schema.relationships
     })
-    recommender = Recommender(store, graph)
+    engine = BatchServingEngine(store, graph)
     relation = graph.schema.relationships[0]
     sources = np.flatnonzero(graph.degrees(relation) > 0)[:32]
-    per_source = recommender.recommend_batch(sources, relation, k=10)
-    similar = recommender.similar_nodes(int(sources[0]), relation, k=10)
+    per_source = engine.recommend_batch(sources, relation, k=10)
+    similar = engine.similar_nodes(int(sources[0]), relation, k=10)
     flat = [rec for recs in per_source for rec in recs] + similar
     ids = np.asarray([rec.node for rec in flat], dtype=np.int64)
     scores = np.asarray([rec.score for rec in flat], dtype=np.float64)
-    return recommender.engine, ids, scores
+    return engine, ids, scores
 
 
 def _training_workload() -> Tuple[object, float, Dict[str, np.ndarray]]:

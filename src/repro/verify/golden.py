@@ -165,13 +165,11 @@ def compute_entry(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> GoldenEntry:
     """Train ``model`` on ``dataset`` exactly like ``repro train`` and snapshot."""
-    from repro.datasets import load_dataset, split_edges
     from repro.eval import evaluate_link_prediction
-    from repro.experiments import get_profile, make_model
+    from repro.experiments import get_profile, make_model, prepare_split
 
     prof = get_profile(profile)
-    data = load_dataset(dataset, scale=prof.scale, seed=seed)
-    split = split_edges(data.graph, rng=seed + 10_000)
+    data, split = prepare_split(dataset, prof, seed)
     trained = make_model(model, prof, seed)
     trained.fit(data, split)
     link = evaluate_link_prediction(trained, split.test)

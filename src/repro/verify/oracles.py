@@ -660,7 +660,8 @@ def _recommendation_scores_diff(fast, ref) -> float:
 
 
 def serving_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
-    """Batch serving engine vs the scalar ``_reference_*`` paths.
+    """Batch serving engine vs the scalar ``_reference_*`` paths of
+    :mod:`repro.verify.references`.
 
     Runs over a random embedding store with *planted duplicate rows* so
     exact score ties exercise the stable tie-break, and over a source set
@@ -668,8 +669,13 @@ def serving_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     relationship) when the graph has any.
     """
     from repro.core.persistence import EmbeddingStore
-    from repro.core.recommender import Recommender
-    from repro.eval.ranking import _reference_ranked_candidates
+    from repro.serving import BatchServingEngine
+    from repro.verify.references import (
+        _reference_ranked_candidates,
+        _reference_recommend,
+        _reference_recommend_batch,
+        _reference_similar_nodes,
+    )
 
     if dataset is None:
         dataset = _default_graph(seed)
@@ -687,7 +693,7 @@ def serving_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         clones = rng.choice(graph.num_nodes, size=min(8, graph.num_nodes), replace=False)
         table[clones[1::2]] = table[clones[0::2]][: len(clones[1::2])]
     store = EmbeddingStore(tables)
-    recommender = Recommender(store, graph)
+    engine = BatchServingEngine(store, graph)
 
     degrees = graph.degrees(relation)
     warm = np.flatnonzero(degrees > 0)[:10]
@@ -696,8 +702,8 @@ def serving_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     results: List[OracleResult] = []
 
     # --- batched top-K vs the per-source reference loop (ties included)
-    fast = recommender.recommend_batch(sources, relation, k=10)
-    ref = recommender._reference_recommend_batch(sources, relation, k=10)
+    fast = engine.recommend_batch(sources, relation, k=10)
+    ref = _reference_recommend_batch(store, graph, sources, relation, k=10)
     diff = max(
         _recommendation_lists_diff(fast, ref),
         _recommendation_scores_diff(fast, ref),
@@ -711,8 +717,8 @@ def serving_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     # --- scalar recommend stays bit-identical through the engine
     diff = 0.0
     for source in sources[:6].tolist():
-        fast_one = recommender.recommend(source, relation, k=7)
-        ref_one = recommender._reference_recommend(source, relation, k=7)
+        fast_one = engine.recommend(source, relation, k=7)
+        ref_one = _reference_recommend(store, graph, source, relation, k=7)
         diff = max(
             diff,
             _recommendation_lists_diff([fast_one], [ref_one]),
@@ -725,8 +731,11 @@ def serving_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
 
     # --- cosine similarity with cached norms vs per-node recomputation
     probe = rng.choice(graph.num_nodes, size=6, replace=False)
-    fast = [recommender.similar_nodes(int(n), relation, k=8) for n in probe]
-    ref = [recommender._reference_similar_nodes(int(n), relation, k=8) for n in probe]
+    fast = [engine.similar_nodes(int(n), relation, k=8) for n in probe]
+    ref = [
+        _reference_similar_nodes(store, graph, int(n), relation, k=8)
+        for n in probe
+    ]
     diff = max(
         _recommendation_lists_diff(fast, ref),
         _recommendation_scores_diff(fast, ref),
@@ -737,7 +746,6 @@ def serving_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     ))
 
     # --- full-ranking path (the evaluator workload): exact order match
-    engine = recommender.engine
     diff = 0.0
     eval_sources = warm[:6]
     if len(eval_sources):

@@ -1,4 +1,4 @@
-"""Recommender facade and model persistence."""
+"""Top-K recommendation over a model, and model persistence."""
 
 from __future__ import annotations
 
@@ -9,13 +9,13 @@ from repro.core import (
     EmbeddingStore,
     HybridGNN,
     HybridGNNConfig,
-    Recommender,
     export_embeddings,
     load_checkpoint_into,
     load_embeddings,
     save_checkpoint,
 )
 from repro.errors import EvaluationError, ReproError
+from repro.serving import BatchServingEngine
 
 
 @pytest.fixture
@@ -27,42 +27,43 @@ def model(taobao_dataset, taobao_split, tiny_hybrid_config):
 
 
 @pytest.fixture
-def recommender(model, taobao_split):
-    return Recommender(model, taobao_split.train_graph)
+def engine(model, taobao_split):
+    return BatchServingEngine(model, taobao_split.train_graph)
 
 
 class TestRecommender:
-    def test_recommend_returns_k_items(self, recommender, taobao_split):
+    def test_recommend_returns_k_items(self, engine, taobao_split):
         user = int(taobao_split.train_graph.nodes_of_type("user")[0])
-        recs = recommender.recommend(user, "page_view", k=5)
+        recs = engine.recommend(user, "page_view", k=5)
         assert len(recs) == 5
         scores = [r.score for r in recs]
         assert scores == sorted(scores, reverse=True)
 
-    def test_recommendations_are_items(self, recommender, taobao_split):
+    def test_recommendations_are_items(self, engine, taobao_split):
         graph = taobao_split.train_graph
         user = int(graph.nodes_of_type("user")[0])
-        for rec in recommender.recommend(user, "page_view", k=5):
+        for rec in engine.recommend(user, "page_view", k=5):
             assert graph.node_type(rec.node) == "item"
 
-    def test_known_neighbors_excluded(self, recommender, taobao_split):
+    def test_known_neighbors_excluded(self, engine, taobao_split):
         graph = taobao_split.train_graph
         users = graph.nodes_of_type("user")
         user = next(int(u) for u in users if graph.degree(int(u), "page_view") > 0)
         known = set(graph.neighbors(user, "page_view").tolist())
-        recs = recommender.recommend(user, "page_view", k=10)
+        recs = engine.recommend(user, "page_view", k=10)
         assert not {r.node for r in recs} & known
 
-    def test_include_known_when_asked(self, recommender, taobao_split):
+    def test_include_known_when_asked(self, engine, taobao_split):
         graph = taobao_split.train_graph
         users = graph.nodes_of_type("user")
         user = next(int(u) for u in users if graph.degree(int(u), "page_view") > 2)
-        pool = recommender.candidates(user, "page_view", exclude_known=False)
+        recs = engine.recommend(user, "page_view", k=graph.num_nodes,
+                                exclude_known=False)
         known = set(graph.neighbors(user, "page_view").tolist())
-        assert known <= set(pool.tolist())
+        assert known <= {r.node for r in recs}
 
     def test_isolated_source_resolves_type_from_schema(
-        self, recommender, taobao_split
+        self, engine, taobao_split
     ):
         # Regression: cold-start nodes used to raise EvaluationError unless
         # the caller passed target_type; the type is now inferred from the
@@ -73,25 +74,25 @@ class TestRecommender:
         if not isolated:
             pytest.skip("no isolated user under purchase")
         user = int(isolated[0])
-        inferred = recommender.recommend(user, "purchase", k=3)
-        explicit = recommender.recommend(user, "purchase", k=3, target_type="item")
+        inferred = engine.recommend(user, "purchase", k=3)
+        explicit = engine.recommend(user, "purchase", k=3, target_type="item")
         assert inferred == explicit
         assert len(inferred) == 3
 
-    def test_invalid_k(self, recommender):
+    def test_invalid_k(self, engine):
         with pytest.raises(EvaluationError):
-            recommender.recommend(0, "page_view", k=0)
+            engine.recommend(0, "page_view", k=0)
 
-    def test_batch(self, recommender, taobao_split):
+    def test_batch(self, engine, taobao_split):
         users = taobao_split.train_graph.nodes_of_type("user")[:3]
-        lists = recommender.recommend_batch(users, "page_view", k=4)
+        lists = engine.recommend_batch(users, "page_view", k=4)
         assert len(lists) == 3
         assert all(len(l) == 4 for l in lists)
 
-    def test_similar_nodes_same_type(self, recommender, taobao_split):
+    def test_similar_nodes_same_type(self, engine, taobao_split):
         graph = taobao_split.train_graph
         item = int(graph.nodes_of_type("item")[0])
-        similar = recommender.similar_nodes(item, "page_view", k=5)
+        similar = engine.similar_nodes(item, "page_view", k=5)
         assert len(similar) == 5
         assert item not in {r.node for r in similar}
         for rec in similar:
@@ -177,9 +178,9 @@ class TestEmbeddingExport:
         graph = taobao_split.train_graph
         export_embeddings(model, graph.num_nodes, graph.schema.relationships, path)
         store = load_embeddings(path)
-        recommender = Recommender(store, graph)
+        engine = BatchServingEngine(store, graph)
         user = int(graph.nodes_of_type("user")[0])
-        assert len(recommender.recommend(user, "page_view", k=3)) == 3
+        assert len(engine.recommend(user, "page_view", k=3)) == 3
 
     def test_unknown_relation_rejected(self, model, taobao_split, tmp_path):
         path = tmp_path / "embeddings.npz"

@@ -5,11 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EmbeddingStore, Recommender
+import repro.serving.engine as engine_module
+from repro.core import EmbeddingStore
+from repro.datasets import load_dataset
 from repro.errors import EvaluationError
-from repro.eval.ranking import _reference_ranked_candidates
-from repro.serving import BatchServingEngine, CandidatePools, RelationEmbeddingCache
+from repro.serving import BatchServingEngine, RelationEmbeddingCache
 from repro.serving.engine import _stable_topk, _stable_topk_block
+from repro.verify.references import (
+    _reference_ranked_candidates,
+    _reference_recommend,
+    _reference_recommend_batch,
+    _reference_similar_nodes,
+    candidates,
+)
 
 
 @pytest.fixture
@@ -28,13 +36,8 @@ def store(taobao_split):
 
 
 @pytest.fixture
-def recommender(store, taobao_split):
-    return Recommender(store, taobao_split.train_graph)
-
-
-@pytest.fixture
-def engine(recommender):
-    return recommender.engine
+def engine(store, taobao_split):
+    return BatchServingEngine(store, taobao_split.train_graph)
 
 
 def _warm_sources(graph, relation, count=12):
@@ -44,12 +47,14 @@ def _warm_sources(graph, relation, count=12):
 class TestOrderingEquivalence:
     """The engine must reproduce the scalar references list-for-list."""
 
-    def test_recommend_batch_matches_reference(self, recommender, taobao_split):
+    def test_recommend_batch_matches_reference(self, engine, store, taobao_split):
         graph = taobao_split.train_graph
         for relation in graph.schema.relationships:
             sources = _warm_sources(graph, relation)
-            batched = recommender.recommend_batch(sources, relation, k=7)
-            reference = recommender._reference_recommend_batch(sources, relation, k=7)
+            batched = engine.recommend_batch(sources, relation, k=7)
+            reference = _reference_recommend_batch(
+                store, graph, sources, relation, k=7
+            )
             for got, want in zip(batched, reference):
                 assert [r.node for r in got] == [r.node for r in want]
                 np.testing.assert_allclose(
@@ -57,27 +62,27 @@ class TestOrderingEquivalence:
                     rtol=0, atol=1e-12,
                 )
 
-    def test_scalar_recommend_is_bit_identical(self, recommender, taobao_split):
+    def test_scalar_recommend_is_bit_identical(self, engine, store, taobao_split):
         graph = taobao_split.train_graph
         source = int(_warm_sources(graph, "page_view")[0])
-        got = recommender.recommend(source, "page_view", k=9)
-        want = recommender._reference_recommend(source, "page_view", k=9)
+        got = engine.recommend(source, "page_view", k=9)
+        want = _reference_recommend(store, graph, source, "page_view", k=9)
         assert got == want  # node ids AND exact float scores
 
-    def test_similar_nodes_is_bit_identical(self, recommender, taobao_split):
+    def test_similar_nodes_is_bit_identical(self, engine, store, taobao_split):
         graph = taobao_split.train_graph
         for item in graph.nodes_of_type("item")[:6].tolist():
-            got = recommender.similar_nodes(item, "page_view", k=8)
-            want = recommender._reference_similar_nodes(item, "page_view", k=8)
+            got = engine.similar_nodes(item, "page_view", k=8)
+            want = _reference_similar_nodes(store, graph, item, "page_view", k=8)
             assert got == want
 
-    def test_rank_all_matches_reference(self, engine, recommender, taobao_split):
+    def test_rank_all_matches_reference(self, engine, store, taobao_split):
         graph = taobao_split.train_graph
         sources = _warm_sources(graph, "purchase", count=8)
         ranked = engine.rank_all(sources, "purchase", target_type="item")
         for source, got in zip(sources.tolist(), ranked):
             want = _reference_ranked_candidates(
-                recommender.model, graph, source, "purchase", "item"
+                store, graph, source, "purchase", "item"
             )
             np.testing.assert_array_equal(got, want)
 
@@ -87,48 +92,54 @@ class TestOrderingEquivalence:
         graph = taobao_split.train_graph
         table = np.ones((graph.num_nodes, 4))
         store = EmbeddingStore({r: table for r in graph.schema.relationships})
-        recommender = Recommender(store, graph)
+        engine = BatchServingEngine(store, graph)
         sources = _warm_sources(graph, "page_view", count=5)
-        batched = recommender.recommend_batch(sources, "page_view", k=6)
-        reference = recommender._reference_recommend_batch(sources, "page_view", k=6)
+        batched = engine.recommend_batch(sources, "page_view", k=6)
+        reference = _reference_recommend_batch(store, graph, sources, "page_view", k=6)
         assert batched == reference
         for recs in batched:
             nodes = [r.node for r in recs]
             assert nodes == sorted(nodes)
 
-    def test_exclude_known_false_matches_reference(self, recommender, taobao_split):
+    def test_exclude_known_false_matches_reference(self, engine, store,
+                                                   taobao_split):
         graph = taobao_split.train_graph
         sources = _warm_sources(graph, "page_view", count=6)
-        batched = recommender.recommend_batch(
+        batched = engine.recommend_batch(
             sources, "page_view", k=5, exclude_known=False
         )
-        reference = recommender._reference_recommend_batch(
-            sources, "page_view", k=5, exclude_known=False
+        reference = _reference_recommend_batch(
+            store, graph, sources, "page_view", k=5, exclude_known=False
         )
         for got, want in zip(batched, reference):
             assert [r.node for r in got] == [r.node for r in want]
 
-    def test_small_block_size_changes_nothing(self, store, taobao_split):
+    def test_small_block_size_changes_nothing(self, store, taobao_split,
+                                              monkeypatch):
         graph = taobao_split.train_graph
-        tiny = BatchServingEngine(store, graph, block_size=3)
-        big = BatchServingEngine(store, graph, block_size=4096)
         sources = _warm_sources(graph, "page_view", count=11)
-        a = tiny.recommend_batch(sources, "page_view", k=5)
-        b = big.recommend_batch(sources, "page_view", k=5)
+        b = BatchServingEngine(store, graph).recommend_batch(
+            sources, "page_view", k=5
+        )
+        monkeypatch.setattr(engine_module, "_BLOCK_SIZE", 3)
+        a = BatchServingEngine(store, graph).recommend_batch(
+            sources, "page_view", k=5
+        )
         assert [[r.node for r in recs] for recs in a] == [
             [r.node for r in recs] for recs in b
         ]
 
 
 class TestEdgeCases:
-    def test_k_larger_than_pool_returns_whole_pool(self, recommender, taobao_split):
+    def test_k_larger_than_pool_returns_whole_pool(self, engine, store,
+                                                   taobao_split):
         graph = taobao_split.train_graph
         source = int(_warm_sources(graph, "page_view")[0])
-        pool = recommender.candidates(source, "page_view")
-        recs = recommender.recommend(source, "page_view", k=10 * graph.num_nodes)
+        pool = candidates(graph, source, "page_view")
+        recs = engine.recommend(source, "page_view", k=10 * graph.num_nodes)
         assert len(recs) == len(pool)
-        assert recs == recommender._reference_recommend(
-            source, "page_view", k=10 * graph.num_nodes
+        assert recs == _reference_recommend(
+            store, graph, source, "page_view", k=10 * graph.num_nodes
         )
 
     def test_invalid_k_raises(self, engine):
@@ -137,7 +148,23 @@ class TestEdgeCases:
         with pytest.raises(EvaluationError):
             engine.similar_topk([0], "page_view", k=-1)
 
-    def test_cold_source_in_batch_never_crashes(self, recommender, taobao_split):
+    def test_unknown_node_id_raises_typed_error(self, engine, taobao_split):
+        # Out-of-range ids used to escape as a raw IndexError (too large)
+        # or a numpy ValueError (negative) from deep inside the engine.
+        num_nodes = taobao_split.train_graph.num_nodes
+        calls = (
+            lambda node: engine.recommend(node, "page_view", k=3),
+            lambda node: engine.recommend_batch([0, node], "page_view", k=3),
+            lambda node: engine.similar_nodes(node, "page_view", k=3),
+            lambda node: engine.rank_all([node], "page_view"),
+        )
+        for call in calls:
+            for node in (10**6, num_nodes, -1):
+                with pytest.raises(EvaluationError,
+                                   match=f"unknown node id {node}"):
+                    call(node)
+
+    def test_cold_source_in_batch_never_crashes(self, engine, taobao_split):
         # Regression: a cold-start node used to raise EvaluationError and
         # kill the whole batch; it now resolves its target type from the
         # relationship schema (or yields an empty list, never an exception).
@@ -148,7 +175,7 @@ class TestEdgeCases:
             pytest.skip("no cold user under purchase")
         warm = _warm_sources(graph, "purchase", count=3)
         batch = warm.tolist() + cold[:2]
-        lists = recommender.recommend_batch(batch, "purchase", k=4)
+        lists = engine.recommend_batch(batch, "purchase", k=4)
         assert len(lists) == len(batch)
         for recs in lists:
             assert all(graph.node_type(r.node) == "item" for r in recs)
@@ -186,28 +213,33 @@ class TestEmbeddingCache:
                 calls.append((relation, len(nodes)))
                 return inner.node_embeddings(nodes, relation)
 
-        recommender = Recommender(CountingModel(), graph)
+        engine = BatchServingEngine(CountingModel(), graph)
         sources = _warm_sources(graph, "page_view", count=20)
-        recommender.recommend_batch(sources, "page_view", k=5)
+        engine.recommend_batch(sources, "page_view", k=5)
         assert calls == [("page_view", graph.num_nodes)]
-        recommender.recommend_batch(sources, "page_view", k=3)
+        engine.recommend_batch(sources, "page_view", k=3)
         assert calls == [("page_view", graph.num_nodes)]  # cache hit, no refetch
-        recommender.recommend_batch(sources[:4], "add_to_cart", k=3)
+        engine.recommend_batch(sources[:4], "add_to_cart", k=3)
         assert calls == [
             ("page_view", graph.num_nodes), ("add_to_cart", graph.num_nodes)
         ]
 
-    def test_lru_eviction(self, store, taobao_split):
-        graph = taobao_split.train_graph
-        cache = RelationEmbeddingCache(store, graph.num_nodes, capacity=2)
-        relations = list(graph.schema.relationships)[:3]
-        cache.table(relations[0])
-        cache.table(relations[1])
-        cache.table(relations[0])  # refresh 0 so 1 is the LRU entry
-        cache.table(relations[2])  # evicts 1
-        assert set(cache.cached_relations) == {relations[0], relations[2]}
-        assert cache.misses == 3
-        assert cache.hits == 1
+    def test_reads_cycling_over_every_relation_fetch_each_once(self):
+        # Regression: a 4-table LRU missed on every read that cycled over
+        # the youtube alike's 5 relations, refetching a full table each time.
+        graph = load_dataset("youtube", scale=0.1, seed=0).graph
+        relations = list(graph.schema.relationships)
+        assert len(relations) == 5
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore({
+            r: rng.standard_normal((graph.num_nodes, 4)) for r in relations
+        })
+        engine = BatchServingEngine(store, graph)
+        for _ in range(4):
+            for relation in relations:
+                engine.similar_topk([0], relation, k=3)
+        assert engine.cache.misses == 5
+        assert sorted(engine.cache.cached_relations) == sorted(relations)
 
     def test_norms_follow_table(self, store, taobao_split):
         graph = taobao_split.train_graph

@@ -342,26 +342,10 @@ class TestEngineIntegration:
         engine.topk_batch(sources, "page_view", k=4)
         engine.topk_batch(sources, "page_view", k=4)
         assert engine.stats.index_builds == 1  # warm: no rebuild
-        engine.cache.invalidate("page_view")
-        assert engine._indexes == {}  # listener retired the index eagerly
+        engine.refresh_topology()
+        assert engine._indexes == {}  # the refresh retired the index
         engine.topk_batch(sources, "page_view", k=4)
         assert engine.stats.index_builds == 2
-
-    def test_lru_eviction_drops_live_index(self, store, taobao_split):
-        graph = taobao_split.train_graph
-        engine = self._engine(
-            store, graph, index="ivf", min_index_size=2, cache_capacity=1
-        )
-        engine.topk_batch(self._sources(graph, "page_view"), "page_view", k=3)
-        assert any(key[0] == "page_view" for key in engine._indexes)
-        # Fetching a second relation evicts the first table; its index
-        # must not survive the table it was built from.
-        engine.topk_batch(
-            self._sources(graph, "add_to_cart"), "add_to_cart", k=3
-        )
-        assert not any(key[0] == "page_view" for key in engine._indexes)
-        engine.topk_batch(self._sources(graph, "page_view"), "page_view", k=3)
-        assert engine.stats.index_builds == 3  # re-fetch implies rebuild
 
     def test_stale_entry_is_rebuilt(self, store, taobao_split):
         graph = taobao_split.train_graph
@@ -369,7 +353,7 @@ class TestEngineIntegration:
         sources = self._sources(graph)
         engine.topk_batch(sources, "page_view", k=4)
         # Tamper the recorded table version: the defensive path for an
-        # index that outlived its snapshot without a listener firing.
+        # index that outlived the table snapshot it was built from.
         (key, (index, _, pool_len)), = engine._indexes.items()
         engine._indexes[key] = (index, -1, pool_len)
         engine.topk_batch(sources, "page_view", k=4)

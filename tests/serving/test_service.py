@@ -152,7 +152,7 @@ class TestAdmissionQueue:
     def test_bad_config_rejected(self):
         for overrides in (
             {"max_batch": 0}, {"max_queue": 0},
-            {"flush_interval": -1.0}, {"cold_start": "ones"},
+            {"flush_interval": -1.0},
         ):
             with pytest.raises(ServiceError):
                 ServiceConfig(**overrides)
@@ -299,16 +299,6 @@ class TestColdStartEmbedder:
         out = embedder.node_embeddings(np.array([0, 7, 9]), "view")
         assert out.shape == (3, DIM)
         assert np.all(out[1:] == 0.0) and np.any(out[0] != 0.0)
-
-    def test_mean_mode_pads_with_column_mean(self):
-        graph = build_base()
-        store = build_store(graph)
-        embedder = ColdStartEmbedder(store, graph.num_nodes, mode="mean")
-        out = embedder.node_embeddings(np.array([7]), "view")
-        expected = store.node_embeddings(
-            np.arange(graph.num_nodes), "view"
-        ).mean(axis=0)
-        np.testing.assert_allclose(out[0], expected)
 
     def test_all_cold_batch(self):
         graph = build_base()

@@ -143,6 +143,15 @@ class TestServingCLI:
         assert code == 2
         assert "--nodes" in capsys.readouterr().err
 
+    def test_unknown_node_is_a_typed_error_not_a_traceback(self, exported, capsys):
+        code = main([
+            "recommend", "--dataset", "amazon", "--scale", "0.15",
+            "--seed", "1", "--embeddings", str(exported),
+            "--relation", "common_bought", "--node", "999999",
+        ])
+        assert code == 2
+        assert "error: unknown node id 999999" in capsys.readouterr().err
+
 
 class TestArgumentValidation:
     def test_unknown_dataset_rejected(self):

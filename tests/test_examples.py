@@ -35,3 +35,14 @@ def test_custom_graph_example_runs():
     assert result.returncode == 0, result.stderr[-2000:]
     assert "ROC-AUC" in result.stdout
     assert "author embedding matrix" in result.stdout
+
+
+def test_export_and_serve_example_runs():
+    """Train, export and serve from the export, end to end."""
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "export_and_serve.py")],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "export matches live model: OK" in result.stdout
+    assert "checkpoint restore matches live parameters: OK" in result.stdout
