@@ -46,10 +46,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core import export_embeddings, load_embeddings, save_checkpoint
-from repro.datasets import available_datasets, load_dataset, split_edges
+from repro.datasets import available_datasets, load_dataset
 from repro.errors import ReproError
 from repro.eval import evaluate_link_prediction, evaluate_ranking
-from repro.experiments import MODEL_NAMES, get_profile, make_model
+from repro.experiments import MODEL_NAMES, get_profile, make_model, split_for_seed
 from repro.experiments import figures as figures_mod
 from repro.experiments import tables as tables_mod
 from repro.graph import compute_statistics, suggest_schemes
@@ -61,6 +61,12 @@ def _add_common_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.25,
                         help="dataset size multiplier")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _dataset_and_split(args: argparse.Namespace) -> tuple:
+    """The ``--dataset``/``--scale``/``--seed`` alike and its seeded split."""
+    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    return dataset, split_for_seed(dataset, args.seed)
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
@@ -90,8 +96,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 profile.trainer, resample_walks_every=args.resample_walks
             ),
         )
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    split = split_edges(dataset.graph, rng=args.seed + 10_000)
+    dataset, split = _dataset_and_split(args)
     print(dataset.graph)
     model = make_model(args.model, profile, args.seed)
     print(f"training {args.model} ({profile.name} profile) ...")
@@ -135,8 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    split = split_edges(dataset.graph, rng=args.seed + 10_000)
+    _, split = _dataset_and_split(args)
     store = load_embeddings(args.embeddings)
     link = evaluate_link_prediction(store, split.test)
     rows = [
@@ -156,8 +160,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print("error: pass --node ID or --nodes ID,ID,... for batch mode",
               file=sys.stderr)
         return 2
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    split = split_edges(dataset.graph, rng=args.seed + 10_000)
+    _, split = _dataset_and_split(args)
     store = load_embeddings(args.embeddings)
     index_params = {"seed": args.seed}
     if args.nprobe is not None:

@@ -8,10 +8,10 @@ recall of the node's positives in the top-K, both averaged over source
 nodes — which is why the paper's absolute values are small.
 
 Ranking is served by :class:`repro.serving.BatchServingEngine` (each
-relation's embedding table fetched once, mask-based candidate pools); the
-historical per-source loop survives as
-:func:`repro.verify.references._reference_ranked_candidates` and is held
-bit-identical to the engine by the ``serving`` differential oracles.
+relation's embedding table fetched once as per-node-type blocks,
+mask-based candidate pools); the historical per-source loop survives as
+:func:`repro.verify.references._reference_ranked_candidates`, and the
+``serving`` differential oracles hold the engine to its order.
 """
 
 from __future__ import annotations

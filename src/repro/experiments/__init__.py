@@ -13,6 +13,7 @@ from repro.experiments.runner import (
     prepare_split,
     run_seeds,
     run_single,
+    split_for_seed,
 )
 from repro.experiments import figures, tables
 
@@ -30,6 +31,7 @@ __all__ = [
     "run_seeds",
     "mean_row",
     "prepare_split",
+    "split_for_seed",
     "tables",
     "figures",
 ]

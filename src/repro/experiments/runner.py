@@ -40,12 +40,17 @@ class RunResult:
         ]
 
 
+def split_for_seed(dataset: Dataset, seed: int) -> EdgeSplit:
+    """The train/test edge split of ``dataset`` that every run of ``seed``
+    uses: the experiment tables, the goldens and the CLI."""
+    return split_edges(dataset.graph, rng=seed + 10_000)
+
+
 def prepare_split(dataset_name: str, profile: ExperimentProfile,
                   seed: int) -> tuple:
     """Deterministically generate a dataset-alike and its edge split."""
     dataset = load_dataset(dataset_name, scale=profile.scale, seed=seed)
-    split = split_edges(dataset.graph, rng=seed + 10_000)
-    return dataset, split
+    return dataset, split_for_seed(dataset, seed)
 
 
 def run_single(

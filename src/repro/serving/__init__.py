@@ -5,16 +5,17 @@ walk engine (``repro.sampling.frontier``); this package does the same for
 the *serving* side.  :class:`BatchServingEngine` answers "top-K candidates
 for these sources under this relationship" by
 
-- precomputing per-node-type candidate pools as reusable boolean masks and
-  per-relation CSR exclusion lists (:class:`CandidatePools`),
-- fetching each relationship's full embedding table **once** and keeping
-  it resident (:class:`RelationEmbeddingCache`) instead of re-gathering
-  per source,
+- keeping ascending per-node-type candidate pools and per-relation CSR
+  exclusion lists (:class:`CandidatePools`),
+- fetching each relationship's embedding table **once** and keeping it
+  resident as one block per node type, rows in pool order
+  (:class:`RelationEmbeddingCache`), so a read scores only its target
+  type's rows and gathers nothing,
 - routing retrieval through a swappable :class:`VectorIndex` backend —
-  ``exact`` (one matmul against the pool plus a stable top-K extraction,
-  bit-identical list order to the scalar reference paths kept in
-  :mod:`repro.verify.references`), or the sub-linear ``ivf``
-  approximate backend (:class:`IVFIndex`), which prunes the candidate
+  ``exact`` (one dgemv per source against the target type's block plus a
+  stable top-K extraction, the list order of the scalar reference paths
+  kept in :mod:`repro.verify.references` up to last-ulp rounding), or the
+  sub-linear ``ivf`` approximate backend (:class:`IVFIndex`), which prunes the candidate
   *set* but still scores surfaced candidates with exact dot products
   (recall-gated by ``repro verify --suite index``).
 
@@ -27,7 +28,8 @@ Request-level latency/throughput is recorded through
 On top of the engine sits the *online* layer: :class:`DeltaGraphView`
 (streaming graph ingestion — append-only edge deltas over the frozen CSR,
 merged views bit-identical to a from-scratch rebuild, threshold-driven
-compaction that drops the engine's cached tables and indexes) and
+compaction that retires the engine's indexes; a cold node appends a zero
+row to its type's block) and
 :class:`RecommendService` (micro-batched ``recommend`` / ``similar`` /
 ``feedback`` endpoints behind a bounded admission queue, with
 per-endpoint latency percentiles and cold-start node handling).  Seeded

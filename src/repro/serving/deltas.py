@@ -45,10 +45,10 @@ argsort over E_r.  Arrays already returned are never written in place.
 
 Version clocks: ``version`` bumps on every accepted mutation (edge or
 node), ``compactions`` counts folds.  Compaction listeners let the owning
-service drive :class:`~repro.serving.engine.RelationEmbeddingCache`
-invalidation — which cascades to resident
-:class:`~repro.serving.index.VectorIndex` entries via the cache's
-listener chain — exactly once per fold.
+service refresh the engine's topology
+(:meth:`~repro.serving.engine.BatchServingEngine.refresh_topology`:
+candidate pools, endpoint maps, resident
+:class:`~repro.serving.index.VectorIndex` entries) exactly once per fold.
 
 Reads may run on several threads at once, but a mutation (``add_node``,
 ``add_edge``, ``compact``) must not run beside any other call: the

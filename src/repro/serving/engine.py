@@ -2,21 +2,26 @@
 
 Serving one request under Eq. 13 is a dot product of the source's
 relationship-specific embedding against every candidate's; serving a batch
-is therefore one matrix multiply against the relation's embedding table.
+is therefore one matrix multiply against the candidates' embedding rows.
 The engine organises the whole hot path around that observation:
 
-- the table is fetched **once** per relation and stays resident
-  (``serving.embeddings`` stage) instead of being fetched twice per source;
+- each relation's table is fetched **once** and stays resident as one
+  block per node type, rows in pool order (``serving.embeddings``), so a
+  read touches only its target type's rows and gathers nothing;
 - candidate pools come from :class:`~repro.serving.pools.CandidatePools`
   ascending-id type pools plus a CSR exclusion scatter (``serving.pool``),
   not per-source Python sets;
 - retrieval routes through a swappable :class:`~repro.serving.index`
-  backend: ``exact`` keeps the original blocked
-  ``sources @ table[pool].T`` matmul (``serving.score``) with stable top-K
-  extraction (``serving.topk``), bit-identical to the scalar reference;
-  ``ivf`` prunes the candidate set sub-linearly
+  backend: ``exact`` keeps the blocked ``sources @ block.T`` matmul
+  (``serving.score``) with stable top-K extraction (``serving.topk``),
+  the scalar reference's order up to last-ulp rounding of the dot
+  products; ``ivf`` prunes the candidate set sub-linearly
   (``serving.index_build`` / ``serving.index_search`` stages) while still
   scoring surfaced candidates with exact dot products.
+
+A cold node arriving in a streamed graph appends one zero row to its
+type's block (:meth:`BatchServingEngine.refresh_topology`); no table is
+refilled.
 
 The approximate backend falls back to the exact path — counted in
 ``ServingStats.exact_fallbacks`` — when a pool is smaller than
@@ -52,6 +57,7 @@ from repro.errors import EvaluationError, ReproError
 from repro.perf import StageProfiler, Timer
 from repro.serving.index import (
     VectorIndex,
+    _score_rows,
     _stable_topk,
     _stable_topk_block,
     _stable_topk_ids,
@@ -170,17 +176,25 @@ class ServingStats:
 
 
 class RelationEmbeddingCache:
-    """Resident full per-relation embedding tables.
+    """Resident per-relation embedding tables, one block per node type.
 
-    One ``model.node_embeddings(arange(num_nodes), relation)`` call per
-    relation — the fix for the ``recommend_batch`` refetch bug.  Tables
-    stay resident until :meth:`resize` (every wrapped model already keeps
-    each relation's full table, so bounding the copies saves nothing).
-    Row norms (for cosine similarity) are cached alongside each table.
+    A relation's table is a dict of C-contiguous ``(len(pool), d)``
+    blocks, one per node type, with rows in
+    :meth:`CandidatePools.type_pool` order (ascending ids), so a read
+    scores a target type's candidates without touching any other row.
+    Each block is filled by one ``model.node_embeddings(pool, relation)``
+    call, and the blocks stay resident: every wrapped model already keeps
+    each relation's full table, so bounding the copies saves nothing.
+    Row norms (for cosine similarity) are cached per block.
 
-    Each fetch-on-miss bumps the relation's **version**; anything derived
-    from a table (the engine's ANN indexes) records the version it was
-    built against and treats a mismatch as staleness.
+    Nodes that arrive after a fill are cold: the model was never trained
+    on them, so their rows are zero (:class:`~repro.serving.service
+    .ColdStartEmbedder`).  :meth:`grow` therefore appends zero rows (norm
+    0) instead of refilling, and a warm row never changes once filled.
+
+    Each fill and each growth bumps the relation's **version**; anything
+    derived from a table (the engine's ANN indexes) records the version
+    it was built against and treats a mismatch as staleness.
 
     One lock, ``_lock``, guards the tables, the norms and the versions,
     and so serialises every call into the model: a fill may advance and
@@ -188,71 +202,100 @@ class RelationEmbeddingCache:
     (``HybridGNN.node_embeddings``), which two fills must not interleave.
     """
 
-    def __init__(self, model, num_nodes: int):
+    def __init__(self, model, pools: CandidatePools):
         self.model = model
-        self.num_nodes = num_nodes  # repro-lint: guarded-by=_lock
+        self.pools = pools
         self._lock = checked_lock("serving.cache._lock")
         self._region = register_shared_region(
             "serving.cache", guard="serving.cache._lock",
             reason="tables, norms, versions and hit counters, touched by "
                    "concurrent reads",
         )
-        self._tables: Dict[str, np.ndarray] = {}  # repro-lint: guarded-by=_lock
-        self._norms: Dict[str, np.ndarray] = {}  # repro-lint: guarded-by=_lock
+        self._tables: Dict[str, Dict[str, np.ndarray]] = {}  # repro-lint: guarded-by=_lock
+        self._norms: Dict[str, Dict[str, np.ndarray]] = {}  # repro-lint: guarded-by=_lock
         self._versions: Dict[str, int] = {}  # repro-lint: guarded-by=_lock
         self._version_clock = 0  # repro-lint: guarded-by=_lock
         self.hits = 0  # repro-lint: guarded-by=_lock
         self.misses = 0  # repro-lint: guarded-by=_lock
 
-    def table(self, relation: str) -> np.ndarray:
-        """The (num_nodes, d) embedding table of ``relation``."""
+    def table(self, relation: str) -> Dict[str, np.ndarray]:
+        """The per-node-type embedding blocks of ``relation``."""
         with self._lock, self._region:
             return self._table(relation)
 
-    def _table(self, relation: str) -> np.ndarray:  # repro-lint: holds=_lock
+    def _table(self, relation: str) -> Dict[str, np.ndarray]:  # repro-lint: holds=_lock
         if relation in self._tables:
             self.hits += 1
             return self._tables[relation]
         self.misses += 1
-        table = np.asarray(
-            self.model.node_embeddings(np.arange(self.num_nodes), relation)
-        )
-        # Shape-check before caching: a model that produces a malformed
-        # table (wrong rank, wrong row count, non-float dtype) fails here
-        # with a rendered expected-vs-found spec, not mid-request.
+        # Shape-check each block before caching: a model that produces a
+        # malformed table (wrong rank, wrong row count, non-float dtype)
+        # fails here with a rendered expected-vs-found spec, not
+        # mid-request.
         from repro.check.state import verify_table
 
-        verify_table(table, self.num_nodes, relation)
-        self._tables[relation] = table
+        blocks = {}
+        for node_type in self.pools.graph.schema.node_types:
+            pool = self.pools.type_pool(node_type)
+            block = np.ascontiguousarray(
+                self.model.node_embeddings(pool, relation)
+            )
+            verify_table(block, len(pool), relation)
+            blocks[node_type] = block
+        self._tables[relation] = blocks
+        self._bump(relation)
+        return blocks
+
+    def _bump(self, relation: str) -> None:  # repro-lint: holds=_lock
         self._version_clock += 1
         self._versions[relation] = self._version_clock
-        return table
 
-    def norms(self, relation: str) -> np.ndarray:
-        """Per-row L2 norms of the relation's table (cached)."""
+    def norms(self, relation: str) -> Dict[str, np.ndarray]:
+        """Per-row L2 norms of each of the relation's blocks (cached)."""
         with self._lock, self._region:
             if relation not in self._norms:
-                self._norms[relation] = np.linalg.norm(
-                    self._table(relation), axis=1
-                )
+                self._norms[relation] = {
+                    node_type: np.linalg.norm(block, axis=1)
+                    for node_type, block in self._table(relation).items()
+                }
             return self._norms[relation]
 
     def version(self, relation: str) -> int:
-        """Monotonic fetch counter for ``relation`` (0 = never fetched).
+        """Monotonic fill/growth counter for ``relation`` (0 = never filled).
 
-        The version identifies *which* table snapshot is resident: a
-        re-fetch after :meth:`resize` yields a new version even if the
-        model's parameters did not change.
+        The version identifies *which* table snapshot is resident: growth
+        after a cold node yields a new version even though no warm row
+        changed.
         """
         with self._lock:
             return self._versions.get(relation, 0)
 
-    def resize(self, num_nodes: int) -> None:
-        """Size later fills to ``num_nodes`` rows and drop every table."""
+    def grow(self) -> None:
+        """Append a zero row (norm 0) to each block per node that arrived.
+
+        The pools must already include the new nodes; since ids only grow
+        they sit at the end of their type's pool, so the blocks keep pool
+        order.  A refresh that added no node (a compaction) keeps every
+        block as it is.
+        """
         with self._lock, self._region:
-            self.num_nodes = num_nodes
-            self._tables.clear()
-            self._norms.clear()
+            for relation, blocks in self._tables.items():
+                norms = self._norms.get(relation)
+                grown = False
+                for node_type, block in blocks.items():
+                    missing = len(self.pools.type_pool(node_type)) - len(block)
+                    if missing <= 0:
+                        continue
+                    blocks[node_type] = np.concatenate(
+                        [block, np.zeros((missing, block.shape[1]), block.dtype)]
+                    )
+                    if norms is not None:
+                        norms[node_type] = np.concatenate(
+                            [norms[node_type], np.zeros(missing)]
+                        )
+                    grown = True
+                if grown:
+                    self._bump(relation)
 
     @property
     def cached_relations(self) -> List[str]:
@@ -294,7 +337,7 @@ class BatchServingEngine:
         self.model = model
         self.graph = graph
         self.pools = CandidatePools(graph)
-        self.cache = RelationEmbeddingCache(model, graph.num_nodes)
+        self.cache = RelationEmbeddingCache(model, self.pools)
         self.profiler = profiler if profiler is not None else StageProfiler()
         self.stats = ServingStats()
         self.index_backend = index
@@ -316,23 +359,34 @@ class BatchServingEngine:
     # Index lifecycle
     # ------------------------------------------------------------------
     def refresh_topology(self) -> None:
-        """Re-derive pool/cache state after the graph's node set changed.
+        """Catch pool/cache state up with a graph that moved.
 
         A streaming :class:`~repro.serving.deltas.DeltaGraphView` grows —
-        cold-start nodes arrive, compaction swaps the base.  Candidate
-        pools precompute per-type masks sized to ``num_nodes`` and the
-        embedding cache validates tables against it, so both must be
-        rebuilt when the topology moves.  Every resident ANN index is
-        retired with them (the invalidation the delta layer's compaction
-        contract requires).  This is a write: no read may run beside it.
+        cold-start nodes arrive, compaction swaps the base.  The candidate
+        pools append each new node to its type's pool and drop their
+        endpoint maps; the embedding cache appends one zero row per new
+        node to that type's block, so no table is refilled.  Every
+        resident ANN index is retired (the invalidation the delta layer's
+        compaction contract requires).  This is a write: no read may run
+        beside it.
         """
-        self.pools = CandidatePools(self.graph)
-        self.cache.resize(self.graph.num_nodes)
+        self.pools.refresh()
+        self.cache.grow()
         with self._index_lock, self._index_region:
             self._indexes.clear()
 
+    def _new_index(self, backend: str, block: np.ndarray,
+                   norms: Optional[np.ndarray]) -> VectorIndex:
+        """An index over a type block; ``norms`` normalises it for cosine."""
+        with self.profiler.stage("serving.index_build"):
+            if norms is not None:
+                block = block / np.maximum(norms, 1e-12)[:, None]
+            index = make_index(backend, **self.index_params).build(block)
+        self.stats.count(index_builds=1)
+        return index
+
     def _build_index(self, relation: str, target_type: str, metric: str,  # repro-lint: holds=_index_lock
-                     table: np.ndarray, pool: np.ndarray, version: int,
+                     block: np.ndarray, version: int,
                      norms: Optional[np.ndarray]) -> VectorIndex:
         """Build and register an index; ``norms`` is required for cosine.
 
@@ -340,28 +394,21 @@ class BatchServingEngine:
         taking ``_index_lock``, which is never held while taking the
         cache's lock.
         """
-        with self.profiler.stage("serving.index_build"):
-            vectors = table[pool]
-            if metric == "cosine":
-                vectors = vectors / np.maximum(norms[pool], 1e-12)[:, None]
-            index = make_index(self.index_backend, **self.index_params)
-            index.build(vectors)
-        self.stats.count(index_builds=1)
+        index = self._new_index(self.index_backend, block, norms)
         with self._index_region:
             self._indexes[(relation, target_type, metric)] = (
-                index, version, len(pool)
+                index, version, len(block)
             )
         return index
 
     def _index_for(self, relation: str, target_type: str, metric: str,
-                   table: np.ndarray, pool: np.ndarray
-                   ) -> Optional[VectorIndex]:
+                   block: np.ndarray) -> Optional[VectorIndex]:
         """The live index for a (relation, pool) pair, or ``None`` for exact.
 
         ``None`` sends the caller down the original brute-force path —
         always for the ``exact`` backend and for pools under
         ``min_index_size``.  A stale entry is rebuilt in place.  Callers
-        must have fetched ``table`` from the cache *before* calling (the
+        must have fetched ``block`` from the cache *before* calling (the
         fetch is what assigns the version this index is validated
         against).  Concurrent reads that miss the same index build it
         once: the first builds under ``_index_lock`` and the rest wait
@@ -369,21 +416,22 @@ class BatchServingEngine:
         """
         if self.index_backend == "exact":
             return None
-        if len(pool) < self.min_index_size:
+        if len(block) < self.min_index_size:
             return None
         version = self.cache.version(relation)
-        norms = self.cache.norms(relation) if metric == "cosine" else None
+        norms = (self.cache.norms(relation)[target_type]
+                 if metric == "cosine" else None)
         key = (relation, target_type, metric)
         with self._index_lock:
             entry = self._indexes.get(key)
             if entry is not None:
                 index, built_version, pool_len = entry
-                if built_version == version and pool_len == len(pool):
+                if built_version == version and pool_len == len(block):
                     return index
-            # Missing or stale (the table was re-fetched, or the pool
-            # changed, since it was built): the build replaces the entry.
-            return self._build_index(relation, target_type, metric, table,
-                                     pool, version, norms)
+            # Missing or stale (the table grew, or the pool changed, since
+            # it was built): the build replaces the entry.
+            return self._build_index(relation, target_type, metric, block,
+                                     version, norms)
 
     # ------------------------------------------------------------------
     # Core batched top-K
@@ -472,12 +520,14 @@ class BatchServingEngine:
         if len(pool) == 0:
             return [(_EMPTY_IDS, _EMPTY_SCORES)] * len(block)
         with self.profiler.stage("serving.embeddings"):
-            table = self.cache.table(relation)
-        index = self._index_for(relation, target_type, "ip", table, pool)
+            blocks = self.cache.table(relation)
+            queries = self._rows(blocks, block)
+        candidates_block = blocks[target_type]
+        index = self._index_for(relation, target_type, "ip", candidates_block)
         if index is not None:
             with self.profiler.stage("serving.index_search"):
                 found, candidates = index.search(
-                    table[block], k,
+                    queries, k,
                     exclude=self._exclusion_lists(rows, cols, len(block)),
                 )
             self.stats.count(candidates_scored=candidates)
@@ -485,14 +535,7 @@ class BatchServingEngine:
         if self.index_backend != "exact":
             self.stats.count(exact_fallbacks=len(block))
         with self.profiler.stage("serving.score"):
-            if len(block) == 1:
-                # dgemv then gather keeps scalar requests bit-identical to
-                # the reference (per-row dot products are unaffected by
-                # which rows are materialised).
-                scores = (table @ table[block[0]])[pool][None, :]
-            else:
-                # One matmul for the block, over pool rows only.
-                scores = table[block] @ table[pool].T
+            scores = _score_rows(candidates_block, queries)
             # The matrix is engine-owned: scatter -inf over exclusions in
             # place instead of materialising a boolean candidate mask.
             scores[rows, cols] = -np.inf
@@ -504,6 +547,22 @@ class BatchServingEngine:
                 (pool[ids], top_scores)
                 for ids, top_scores in _stable_topk_block(scores, None, k)
             ]
+
+    def _rows(self, blocks: Dict[str, np.ndarray],
+              nodes: np.ndarray) -> np.ndarray:
+        """The embedding rows of ``nodes``, gathered from their types' blocks."""
+        codes = self.graph.node_type_codes[nodes]
+        names = self.graph.schema.node_types
+        if (codes == codes[0]).all():
+            name = names[codes[0]]
+            return blocks[name][self.pools.pool_positions(name)[nodes]]
+        first = blocks[names[codes[0]]]
+        rows = np.empty((len(nodes), first.shape[1]), dtype=first.dtype)
+        for code in np.unique(codes).tolist():
+            hit = codes == code
+            name = names[code]
+            rows[hit] = blocks[name][self.pools.pool_positions(name)[nodes[hit]]]
+        return rows
 
     # ------------------------------------------------------------------
     # Recommendation API
@@ -550,7 +609,7 @@ class BatchServingEngine:
         self.stats.count(requests=1, sources=len(nodes))
         with Timer() as timer:
             with self.profiler.stage("serving.embeddings"):
-                table = self.cache.table(relation)
+                blocks = self.cache.table(relation)
                 norms = self.cache.norms(relation)
             results: List[Tuple[np.ndarray, np.ndarray]] = []
             for node in nodes.tolist():
@@ -558,12 +617,11 @@ class BatchServingEngine:
                 with self.profiler.stage("serving.pool"):
                     pool = self.pools.type_pool(node_type)
                     own = self.pools.pool_positions(node_type)[node]
-                index = self._index_for(
-                    relation, node_type, "cosine", table, pool
-                )
+                block = blocks[node_type]
+                index = self._index_for(relation, node_type, "cosine", block)
                 if index is not None:
                     results.append(self._similar_via_index(
-                        index, table, norms, pool, node, own, k
+                        index, block, norms[node_type], pool, own, k
                     ))
                     continue
                 if self.index_backend != "exact":
@@ -576,8 +634,9 @@ class BatchServingEngine:
                     # cached axis=1 reduction): np.linalg.norm accumulates
                     # the two differently, and the reference uses the
                     # vector form.
-                    scores = (table @ table[node])[pool] / np.maximum(
-                        norms[pool] * np.linalg.norm(table[node]), 1e-12
+                    probe = block[own]
+                    scores = (block @ probe) / np.maximum(
+                        norms[node_type] * np.linalg.norm(probe), 1e-12
                     )
                 self.stats.count(candidates_scored=int(valid.sum()))
                 with self.profiler.stage("serving.topk"):
@@ -586,12 +645,13 @@ class BatchServingEngine:
         self.stats.record_latency(timer.elapsed)
         return results
 
-    def _similar_via_index(self, index: VectorIndex, table: np.ndarray,
-                           norms: np.ndarray, pool: np.ndarray, node: int,
-                           own: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        probe_norm = np.linalg.norm(table[node])
-        query = table[node] / max(probe_norm, 1e-12)
-        exclude = [np.asarray([own], dtype=np.int64)] if own >= 0 else None
+    def _similar_via_index(self, index: VectorIndex, block: np.ndarray,
+                           norms: np.ndarray, pool: np.ndarray, own: int,
+                           k: int) -> Tuple[np.ndarray, np.ndarray]:
+        probe = block[own]
+        probe_norm = np.linalg.norm(probe)
+        query = probe / max(probe_norm, 1e-12)
+        exclude = [np.asarray([own], dtype=np.int64)]
         with self.profiler.stage("serving.index_search"):
             found, candidates = index.search(query, k, exclude=exclude)
         self.stats.count(candidates_scored=candidates)
@@ -602,9 +662,8 @@ class BatchServingEngine:
             # Reference cosine formula over the surfaced candidates only;
             # the normalised index scores decided *which* candidates, not
             # what the caller sees.
-            candidates = pool[positions]
-            scores = (table[candidates] @ table[node]) / np.maximum(
-                norms[candidates] * probe_norm, 1e-12
+            scores = (block[positions] @ probe) / np.maximum(
+                norms[positions] * probe_norm, 1e-12
             )
         with self.profiler.stage("serving.topk"):
             ids, top_scores = _stable_topk_ids(scores, positions, k)
@@ -635,10 +694,9 @@ class BatchServingEngine:
         The ranking evaluator needs every source's complete ordering (MRR
         looks past the top-K), so this path is **always exact** — an ANN
         index prunes candidates, which is incompatible with producing a
-        total order — and keeps the full stable argsort over the one-fetch
-        table and mask-based pools.  Scores are computed per source as
-        table-level matrix-vector products, which are bit-identical to the
-        scalar reference's gathered dot products.
+        total order — and keeps the full stable argsort over the target
+        type's block and mask-based pools.  Scores are the ones
+        :meth:`topk_batch` computes (:func:`_score_rows`).
         """
         sources = check_node_ids(sources, self.graph.num_nodes, EvaluationError)
         self.stats.count(requests=1, sources=len(sources))
@@ -653,7 +711,8 @@ class BatchServingEngine:
                     continue
                 group = sources[positions]
                 with self.profiler.stage("serving.embeddings"):
-                    table = self.cache.table(relation)
+                    blocks = self.cache.table(relation)
+                    queries = self._rows(blocks, group)
                 with self.profiler.stage("serving.pool"):
                     pool, valid = self.pools.valid_pool_matrix(
                         group, relation, ttype, exclude_known
@@ -661,11 +720,7 @@ class BatchServingEngine:
                 if len(pool) == 0:
                     continue
                 with self.profiler.stage("serving.score"):
-                    scores = np.empty((len(group), len(pool)))
-                    for j, source in enumerate(group.tolist()):
-                        # dgemv per source: bit-identical to the scalar
-                        # reference's gathered dot products.
-                        scores[j] = (table @ table[source])[pool]
+                    scores = _score_rows(blocks[ttype], queries)
                 counts = np.count_nonzero(valid, axis=1)
                 self.stats.count(candidates_scored=int(counts.sum()))
                 with self.profiler.stage("serving.topk"):
@@ -690,35 +745,27 @@ class BatchServingEngine:
         against a live engine before use.
         """
         with self.profiler.stage("serving.embeddings"):
-            table = self.cache.table(relation)
-        pool = self.pools.type_pool(target_type)
+            block = self.cache.table(relation)[target_type]
         version = self.cache.version(relation)
-        norms = self.cache.norms(relation) if metric == "cosine" else None
+        norms = (self.cache.norms(relation)[target_type]
+                 if metric == "cosine" else None)
         key = (relation, target_type, metric)
         with self._index_lock:
             entry = self._indexes.get(key)
             if (entry is not None and entry[1] == version
-                    and entry[2] == len(pool)):
+                    and entry[2] == len(block)):
                 index = entry[0]
             elif self.index_backend == "exact":
-                with self.profiler.stage("serving.index_build"):
-                    vectors = table[pool]
-                    if metric == "cosine":
-                        vectors = vectors / np.maximum(
-                            norms[pool], 1e-12
-                        )[:, None]
-                    index = make_index("exact", **self.index_params)
-                    index.build(vectors)
-                self.stats.count(index_builds=1)
+                index = self._new_index("exact", block, norms)
             else:
                 index = self._build_index(relation, target_type, metric,
-                                          table, pool, version, norms)
+                                          block, version, norms)
         return save_index(index, path, extra_meta={
             "relation": relation,
             "target_type": target_type,
             "metric": metric,
-            "pool_size": int(len(pool)),
-            "table_dim": int(table.shape[1]),
+            "pool_size": int(len(block)),
+            "table_dim": int(block.shape[1]),
         })
 
     def import_index(self, path: Union[str, Path]) -> VectorIndex:
@@ -735,11 +782,11 @@ class BatchServingEngine:
         target_type = meta.get("target_type")
         metric = meta.get("metric", "ip")
         with self.profiler.stage("serving.embeddings"):
-            table = self.cache.table(relation)
+            block = self.cache.table(relation)[target_type]
         pool = self.pools.type_pool(target_type)
         from repro.check.state import verify_index
 
-        verify_index(meta, index, table, pool, source=str(path))
+        verify_index(meta, index, block, pool, source=str(path))
         version = self.cache.version(relation)
         with self._index_lock, self._index_region:
             self._indexes[(relation, target_type, metric)] = (

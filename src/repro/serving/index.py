@@ -7,9 +7,9 @@ BENCH_serving.json showed dominating serving time (``serving.topk`` ~69%,
 :class:`VectorIndex` behind a uniform ``search`` API, mirroring the
 production pattern of a vector database behind a recommender service:
 
-- :class:`ExactIndex` — the brute-force oracle.  Blocked matmul over the
-  whole pool plus the stable top-K extractor, bit-identical to the
-  pre-index engine (and therefore to the scalar ``_reference_*`` paths).
+- :class:`ExactIndex` — the brute-force oracle.  One dgemv per query over
+  the whole pool plus the stable top-K extractor, bit-identical to the
+  engine's exact path (and in order to the scalar ``_reference_*`` paths).
 - :class:`IVFIndex` — inverted-file index.  K-means partitions the pool
   into ~sqrt(N) clusters (trained on a deterministic sample); a query
   scores the ``nprobe`` clusters whose centroids have the highest inner
@@ -85,6 +85,24 @@ def _stable_topk(scores: np.ndarray, valid: np.ndarray,
     order = np.lexsort((chosen, -scores[chosen]))
     top = chosen[order[:take]]
     return top, scores[top]
+
+
+def _score_rows(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(len(queries), len(block)) dot products: one dgemv per query.
+
+    One dgemv per query, not one matmul per batch, keeps a query's scores
+    independent of what it was batched with: BLAS picks its matmul kernel
+    by shape, and kernels round the last bit differently.  The scores match the reference's gathered dot products
+    to a few ulps, not bit for bit, since a dgemv also rounds a matrix's
+    last few rows differently from the rest.
+    """
+    if len(queries) == 1:
+        return (block @ queries[0])[None, :]
+    scores = np.empty((len(queries), len(block)),
+                      dtype=np.result_type(block, queries))
+    for j, query in enumerate(queries):
+        scores[j] = block @ query
+    return scores
 
 
 def _stable_topk_block(scores: np.ndarray, valid: Optional[np.ndarray],
@@ -269,9 +287,10 @@ class VectorIndex:
 class ExactIndex(VectorIndex):
     """Brute-force oracle: score the whole pool, extract stable top-K.
 
-    Bit-identical to the pre-index engine hot path (same blocked matmul,
-    same ``-inf`` exclusion scatter, same extractor), which makes it the
-    ground truth every approximate backend's recall is measured against.
+    Bit-identical to the engine's brute-force hot path (same per-query
+    dgemv, same ``-inf`` exclusion scatter, same extractor), which makes
+    it the ground truth every approximate backend's recall is measured
+    against.
     """
 
     backend = "exact"
@@ -294,13 +313,9 @@ class ExactIndex(VectorIndex):
         candidates = 0
         for start in range(0, len(queries), self.block_size):
             chunk = queries[start:start + self.block_size]
-            if len(chunk) == 1:
-                # dgemv for single queries, dgemm for blocks — the same
-                # BLAS call shapes the engine hot path uses, keeping this
-                # backend bit-identical to the pre-index engine.
-                scores = (self._vectors @ chunk[0])[None, :]
-            else:
-                scores = chunk @ self._vectors.T
+            # The engine hot path's scoring, so this backend stays
+            # bit-identical to it.
+            scores = _score_rows(self._vectors, chunk)
             if exclude is not None:
                 for j in range(len(chunk)):
                     excluded = exclude[start + j]

@@ -4,9 +4,9 @@ A serving request needs, per source node, the candidate set "every node of
 the target type, minus the source, minus (optionally) its known neighbors".
 Building that pool with Python sets per request is what makes the scalar
 reference loop (:mod:`repro.verify.references`) slow;
-:class:`CandidatePools` instead precomputes one boolean mask per node type
-(reused, never mutated) and lets the engine knock out per-source
-exclusions via the graph's CSR adjacency.
+:class:`CandidatePools` instead keeps one ascending id pool per node type
+(extended as nodes arrive, never reordered) and lets the engine knock out
+per-source exclusions via the graph's CSR adjacency.
 
 The pools also own *target-type inference*: when a caller omits
 ``target_type``, the type is resolved from the source's existing neighbors
@@ -53,39 +53,63 @@ def relation_endpoint_types(
 
 
 class CandidatePools:
-    """Reusable per-node-type candidate masks over a fixed graph.
+    """Per-node-type candidate pools over a graph whose node set only grows.
 
-    The per-type masks, pools and pool positions are built here, once per
-    graph topology, so concurrent readers only ever read them.  Endpoint
-    maps (one pass over a relation's edges each) are built on first use
-    under ``_lock``.
+    The per-type pools and pool positions are extended here, when the
+    pools are built and on :meth:`refresh`, so concurrent readers only
+    ever read them.  Endpoint maps (one pass over a relation's edges each)
+    are built on first use under ``_lock``.
     """
 
     def __init__(self, graph: MultiplexHeteroGraph):
         self.graph = graph
-        codes = graph.node_type_codes
-        self._type_masks: Dict[str, np.ndarray] = {}
-        self._type_pools: Dict[str, np.ndarray] = {}
-        self._pool_positions: Dict[str, np.ndarray] = {}
         names = graph.schema.node_types
-        positions = np.full((len(names), graph.num_nodes), -1, dtype=np.int64)
-        for code, name in enumerate(names):
-            mask = codes == code
-            pool = np.flatnonzero(mask)
-            positions[code, pool] = np.arange(len(pool))
-            mask.flags.writeable = False
-            pool.flags.writeable = False
-            self._type_masks[name] = mask
-            self._type_pools[name] = pool
-        positions.flags.writeable = False
-        for code, name in enumerate(names):
-            self._pool_positions[name] = positions[code]
+        self._num_nodes = 0
+        self._type_pools: Dict[str, np.ndarray] = {
+            name: np.empty(0, dtype=np.int64) for name in names
+        }
+        self._positions = np.empty((len(names), 0), dtype=np.int64)
+        self._pool_positions: Dict[str, np.ndarray] = {}
         self._lock = checked_lock("serving.pools._lock")
         self._region = register_shared_region(
             "serving.pools", guard="serving.pools._lock",
             reason="endpoint-type maps, built lazily by concurrent reads",
         )
         self._endpoint_maps: Dict[str, Dict[str, str]] = {}  # repro-lint: guarded-by=_lock
+        self._extend()
+
+    def refresh(self) -> None:
+        """Catch up with the graph after nodes arrived or edges were folded.
+
+        Node ids are dense and only grow, so every new node is appended to
+        its type's pool, which stays ascending; existing positions never
+        move.  The endpoint maps are dropped, since new edges can change
+        them.  A write: no read may run beside it.
+        """
+        self._extend()
+        with self._lock, self._region:
+            self._endpoint_maps.clear()
+
+    def _extend(self) -> None:
+        num_nodes = self.graph.num_nodes
+        if num_nodes == self._num_nodes and self._pool_positions:
+            return  # a compaction: no node arrived
+        new = np.arange(self._num_nodes, num_nodes)
+        codes = np.asarray(self.graph.node_type_codes)[new]
+        positions = np.full((len(self._type_pools), num_nodes), -1, dtype=np.int64)
+        positions[:, :self._num_nodes] = self._positions
+        for code, name in enumerate(self.graph.schema.node_types):
+            added = new[codes == code]
+            old = self._type_pools[name]
+            positions[code, added] = len(old) + np.arange(len(added))
+            grown = np.concatenate([old, added])
+            grown.flags.writeable = False
+            self._type_pools[name] = grown
+        positions.flags.writeable = False
+        self._positions = positions
+        for code, name in enumerate(self.graph.schema.node_types):
+            self._pool_positions[name] = positions[code]
+        self._num_nodes = num_nodes
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -95,16 +119,13 @@ class CandidatePools:
         except KeyError:
             raise SchemaError(f"unknown node type {node_type!r}") from None
 
-    def type_mask(self, node_type: str) -> np.ndarray:
-        """Read-only boolean mask (num_nodes,) selecting ``node_type``."""
-        return self._per_type(self._type_masks, node_type)
-
     def type_pool(self, node_type: str) -> np.ndarray:
         """Ascending node ids of ``node_type`` (read-only).
 
         The ascending order is load-bearing: pool *positions* then order the
         same way as node ids, so stable tie-breaks computed on positions
-        translate unchanged to ids.
+        translate unchanged to ids.  It is also the row order of the
+        engine's per-type embedding blocks.
         """
         return self._per_type(self._type_pools, node_type)
 
@@ -140,40 +161,17 @@ class CandidatePools:
         return self.endpoint_map(relation).get(self.graph.node_type(int(source)))
 
     # ------------------------------------------------------------------
-    def valid_matrix(self, sources: np.ndarray, relation: str,
-                     target_type: str, exclude_known: bool = True) -> np.ndarray:
-        """(len(sources), num_nodes) candidate mask for one target type.
-
-        Row i selects every node of ``target_type`` except ``sources[i]``
-        itself and, when ``exclude_known``, its current neighbors under
-        ``relation`` (knocked out via the CSR adjacency in one scatter).
-        """
-        sources = np.asarray(sources, dtype=np.int64)
-        valid = np.repeat(self.type_mask(target_type)[None, :], len(sources), axis=0)
-        valid[np.arange(len(sources)), sources] = False
-        if exclude_known and len(sources):
-            indptr, indices = self.graph.csr(relation)
-            starts, ends = indptr[sources], indptr[sources + 1]
-            counts = ends - starts
-            if counts.sum():
-                rows = np.repeat(np.arange(len(sources)), counts)
-                cols = np.concatenate([
-                    indices[s:e] for s, e in zip(starts.tolist(), ends.tolist())
-                ])
-                valid[rows, cols] = False
-        return valid
-
     def valid_pool_matrix(
         self, sources: np.ndarray, relation: str, target_type: str,
         exclude_known: bool = True,
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Pool-width variant of :meth:`valid_matrix`.
+        """(len(sources), len(pool)) candidate mask for one target type.
 
         Returns ``(pool, valid)`` where ``pool`` is :meth:`type_pool` and
-        ``valid`` is (len(sources), len(pool)) over pool *positions* —
-        the serving hot path scores only the target type's rows, so masks
-        (and everything downstream) shrink from ``num_nodes`` columns to
-        the pool's size.
+        row i of ``valid``, over pool *positions*, selects every node of
+        ``target_type`` except ``sources[i]`` itself and, when
+        ``exclude_known``, its current neighbors under ``relation``
+        (knocked out via the CSR adjacency in one scatter).
         """
         sources = np.asarray(sources, dtype=np.int64)
         pool = self.type_pool(target_type)

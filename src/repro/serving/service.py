@@ -46,9 +46,10 @@ graph before a write batch or after it, never a torn intermediate (the
 pool).  A write batch waits for the reads in flight to drain, and reads
 that arrive while it waits queue behind it, so a stream of reads cannot
 starve a write.  Between compactions, reads see merged (CSR + delta)
-views that are bit-identical to a from-scratch rebuild; at compaction
-the engine's topology refresh drops the embedding cache and every
-resident ANN index.
+views that are bit-identical to a from-scratch rebuild.  A cold node's
+arrival appends a zero row to its type's embedding block, and every
+topology refresh (cold node or compaction) retires the resident ANN
+indexes; no embedding table is refilled.
 
 Lock discipline (machine-checked; see DESIGN.md "Lock-discipline
 contract"): admission/batching state is guarded by ``_cond``, the graph
@@ -360,14 +361,11 @@ class RecommendService:
                     k: Optional[int]) -> int:
         """Admission-time validation of a read request.
 
-        Epoch semantics: this runs *outside* any lock, so the bounds
-        check is against whatever graph epoch is current at admission.
-        That is fine — node ids are dense and ``num_nodes`` only grows,
-        so an id valid at admission stays valid forever.  The check is
-        still repeated under ``_exec_lock`` in :meth:`_read` so execution
-        validates against the epoch it actually reads, closing the
-        admission-to-execution TOCTOU window for any future view whose id
-        space can shrink.
+        This runs *outside* any lock, so the bounds check is against
+        whatever graph epoch is current at admission.  That is enough:
+        node ids are dense and ``num_nodes`` only grows, so an id valid at
+        admission stays valid when the read executes.  The engine checks
+        the ids again against the epoch it reads (``check_node_ids``).
         """
         self.view.schema.relationship_index(relation)
         k = self.config.default_k if k is None else int(k)
@@ -530,8 +528,6 @@ class RecommendService:
 
     def _read(self, key: tuple, payloads: list) -> list:  # repro-lint: holds=_exec_lock:shared
         """One engine call for a read batch's payloads."""
-        # Execution-epoch revalidation (see _check_read).
-        check_node_ids(payloads, self.view.num_nodes, ServiceError)
         if key[0] == "recommend":
             _, relation, k, target_type, exclude_known = key
             return self.engine.topk_batch(
@@ -632,8 +628,8 @@ class RecommendService:
                 new_nodes.append(self.view.add_node(node_type))
         accepted = self.view.add_edge(source, target, relation)
         if new_nodes:
-            # Pools/cache are sized to the node count — re-derive before
-            # the next read so the newborn node is poolable immediately.
+            # Append the newborn node to its type's pool and embedding
+            # block before the next read, so it is poolable immediately.
             with self.profiler.stage("service.refresh"):
                 self.engine.refresh_topology()
         return {
@@ -646,7 +642,10 @@ class RecommendService:
         }
 
     def _on_compaction(self, view: DeltaGraphView) -> None:
-        """Compaction contract: caches and indexes re-sync to the new base."""
+        """Compaction contract: pools and indexes re-sync to the new base.
+
+        The node count is unchanged, so every embedding block is kept.
+        """
         with self.profiler.stage("service.refresh"):
             self.engine.refresh_topology()
 

@@ -122,6 +122,7 @@ class TestTableFindings:
 class TestServingIntegration:
     def test_cache_rejects_malformed_table(self, small_graph):
         from repro.serving.engine import RelationEmbeddingCache
+        from repro.serving.pools import CandidatePools
 
         class BrokenEmbedder:
             relations = ["view"]
@@ -130,7 +131,7 @@ class TestServingIntegration:
                 return np.zeros((3, 4))  # wrong row count for the graph
 
         cache = RelationEmbeddingCache(
-            BrokenEmbedder(), num_nodes=small_graph.num_nodes
+            BrokenEmbedder(), CandidatePools(small_graph)
         )
         with pytest.raises(CheckError, match="view"):
             cache.table("view")

@@ -9,7 +9,11 @@ import repro.serving.engine as engine_module
 from repro.core import EmbeddingStore
 from repro.datasets import load_dataset
 from repro.errors import EvaluationError
-from repro.serving import BatchServingEngine, RelationEmbeddingCache
+from repro.serving import (
+    BatchServingEngine,
+    CandidatePools,
+    RelationEmbeddingCache,
+)
 from repro.serving.engine import _stable_topk, _stable_topk_block
 from repro.verify.references import (
     _reference_ranked_candidates,
@@ -199,7 +203,8 @@ class TestEmbeddingCache:
     def test_one_fetch_per_relation_per_batch(self, taobao_split):
         # Regression for the recommend_batch refetch bug: the old loop
         # called node_embeddings twice per source; the engine must hit the
-        # model exactly once per relation, however large the batch.
+        # model once per node-type block of a relation, however large the
+        # batch.
         graph = taobao_split.train_graph
         rng = np.random.default_rng(0)
         inner = EmbeddingStore({
@@ -210,19 +215,23 @@ class TestEmbeddingCache:
 
         class CountingModel:
             def node_embeddings(self, nodes, relation):
-                calls.append((relation, len(nodes)))
+                calls.append((relation, np.asarray(nodes).tolist()))
                 return inner.node_embeddings(nodes, relation)
+
+        def fill(relation):
+            return [
+                (relation, graph.nodes_of_type(node_type).tolist())
+                for node_type in graph.schema.node_types
+            ]
 
         engine = BatchServingEngine(CountingModel(), graph)
         sources = _warm_sources(graph, "page_view", count=20)
         engine.recommend_batch(sources, "page_view", k=5)
-        assert calls == [("page_view", graph.num_nodes)]
+        assert calls == fill("page_view")
         engine.recommend_batch(sources, "page_view", k=3)
-        assert calls == [("page_view", graph.num_nodes)]  # cache hit, no refetch
+        assert calls == fill("page_view")  # cache hit, no refetch
         engine.recommend_batch(sources[:4], "add_to_cart", k=3)
-        assert calls == [
-            ("page_view", graph.num_nodes), ("add_to_cart", graph.num_nodes)
-        ]
+        assert calls == fill("page_view") + fill("add_to_cart")
 
     def test_reads_cycling_over_every_relation_fetch_each_once(self):
         # Regression: a 4-table LRU missed on every read that cycled over
@@ -243,11 +252,14 @@ class TestEmbeddingCache:
 
     def test_norms_follow_table(self, store, taobao_split):
         graph = taobao_split.train_graph
-        cache = RelationEmbeddingCache(store, graph.num_nodes)
+        cache = RelationEmbeddingCache(store, CandidatePools(graph))
         norms = cache.norms("page_view")
-        np.testing.assert_array_equal(
-            norms, np.linalg.norm(cache.table("page_view"), axis=1)
-        )
+        blocks = cache.table("page_view")
+        assert set(norms) == set(blocks) == set(graph.schema.node_types)
+        for node_type, block in blocks.items():
+            np.testing.assert_array_equal(
+                norms[node_type], np.linalg.norm(block, axis=1)
+            )
 
 
 class TestStatsAndProfiling:

@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.persistence import EmbeddingStore
-from repro.errors import QueueFullError, SchemaError, ServiceError
+from repro.errors import (
+    EvaluationError,
+    QueueFullError,
+    SchemaError,
+    ServiceError,
+)
 from repro.graph import GraphBuilder, GraphSchema
 from repro.serving import (
     BatchServingEngine,
@@ -337,13 +342,14 @@ class TestValidation:
         # An empty batch passes the bounds check and returns no results.
         assert service.recommend_many([], "view", k=3) == []
 
-    def test_execution_epoch_revalidation_closes_toctou(self):
-        # _submit bypasses the admission-time _check_read, so this read
-        # only survives if _execute revalidates ids under _exec_lock.
+    def test_bad_id_past_admission_fails_alone(self):
+        # Ids only grow, so admission (_check_read, tested above) is the
+        # service's one id check.  _submit skips it; the engine's own check
+        # then fails the read with its typed error.
         service = make_service()
-        with pytest.raises(ServiceError, match="unknown node id 42"):
+        with pytest.raises(EvaluationError, match="unknown node id 42"):
             service._submit(("recommend", "view", 3, None, True), 42)
-        with pytest.raises(ServiceError, match="unknown node id 42"):
+        with pytest.raises(EvaluationError, match="unknown node id 42"):
             service._submit(("similar", "view", 3), 42)
         # The failed batch must not wedge the queue.
         assert service.queue_depth == 0

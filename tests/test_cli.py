@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _dataset_and_split, build_parser, main
+from repro.experiments import get_profile, prepare_split
 
 
 @pytest.fixture
@@ -35,6 +39,33 @@ class TestSchemes:
     def test_default_relation(self, capsys):
         assert main(["schemes", "--dataset", "amazon", "--scale", "0.15"]) == 0
         assert "common_bought" in capsys.readouterr().out
+
+
+class TestSplitRecipe:
+    def test_cli_split_is_the_runners(self):
+        # train, evaluate and recommend must score the very split the
+        # experiment runner (and so the goldens) trains and tests on.
+        args = build_parser().parse_args([
+            "evaluate", "--dataset", "amazon", "--scale", "0.25",
+            "--seed", "3", "--embeddings", "unused",
+        ])
+        _, split = _dataset_and_split(args)
+        profile = dataclasses.replace(get_profile("smoke"), scale=0.25)
+        _, want = prepare_split("amazon", profile, seed=3)
+        for relation in want.train_graph.schema.relationships:
+            for got_part, want_part in zip(
+                split.train_graph.csr(relation), want.train_graph.csr(relation)
+            ):
+                np.testing.assert_array_equal(got_part, want_part)
+        for got_edges, want_edges in ((split.val, want.val),
+                                      (split.test, want.test)):
+            assert list(got_edges) == list(want_edges)
+            for relation, edges in want_edges.items():
+                for field in ("src", "dst", "labels"):
+                    np.testing.assert_array_equal(
+                        getattr(got_edges[relation], field),
+                        getattr(edges, field),
+                    )
 
 
 class TestTrainEvaluateRecommend:
