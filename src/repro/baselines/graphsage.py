@@ -47,9 +47,9 @@ class _SageEncoder(Module):
     def forward(self, nodes: np.ndarray) -> Tensor:
         blocks = sample_blocks(
             nodes, self.fanouts,
-            lambda hop, frontier, fanout: sample_uniform_neighbors(
-                self._indptr, self._indices, frontier, fanout, self._rng),
-        )
+            [lambda hop, frontier, fanout: sample_uniform_neighbors(
+                self._indptr, self._indices, frontier, fanout, self._rng)],
+        ).single()
         return aggregate_layers(blocks, self.features, self.aggregators)
 
 

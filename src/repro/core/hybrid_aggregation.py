@@ -20,30 +20,74 @@ sampled:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.graph.multiplex import MultiplexHeteroGraph
 from repro.graph.schema import MetapathScheme
 from repro.nn.aggregators import make_aggregator
-from repro.nn.layers import Embedding
 from repro.nn.module import Module, ModuleList
-from repro.nn.tensor import Tensor, gather_rows
+from repro.nn.tensor import Segments, Tensor, gather_rows, segments, stable_sort
 from repro.sampling.adjacency import TypedAdjacencyCache, sample_uniform_neighbors
 from repro.sampling.exploration import RandomizedExploration
 from repro.sampling.neighbor_sampler import (
     Blocks,
     MetapathNeighborSampler,
     sample_blocks,
-    stack_blocks,
 )
 from repro.utils.rng import SeedLike, as_rng, slice_rngs, spawn_rng
 
 
+def _lookup(features: Module, blocks: Blocks):
+    """h^(0) of every level node, as one sorted unique ``features`` lookup.
+
+    One sort over all levels (:func:`~repro.nn.tensor.stable_sort`) yields
+    the unique ids and the table row of every level node (shaped like its
+    level).  ``layout(k)`` builds level k's layout over the table from the
+    same sort, once, when a backward first needs it.
+    """
+    levels = [level.reshape(-1) for level in blocks.nodes]
+    order, ordered = stable_sort(np.concatenate(levels))
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    table = features(ordered[first])
+    inverse = np.empty(len(ordered), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
+    where = [inverse[lo:hi].reshape(level.shape)
+             for level, lo, hi in zip(blocks.nodes, bounds[:-1], bounds[1:])]
+
+    @lru_cache(maxsize=None)
+    def layout(k: int) -> Segments:
+        lo, hi = bounds[k], bounds[k + 1]
+        return segments(where[k], len(table), order[(order >= lo) & (order < hi)] - lo)
+
+    return table, where, layout
+
+
+def _through(children: Segments, layout: Callable[[int], Segments], level: int) -> Segments:
+    """The layout over the table of the children's table rows, from the
+    children's layout over level ``level``'s rows and that level's layout
+    over the table.  The level's layout lists its rows by table row and
+    then by slice; the children's positions are slice-major, so their
+    runs concatenated in that row order are stable-sorted by table row,
+    and the running count at each table row's first level row is its
+    start."""
+    rows = layout(level)
+    starts = np.take(children.indptr, rows.order)
+    counts = np.take(children.indptr, rows.order + 1) - starts
+    done = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=done[1:])
+    skip = np.repeat(starts - done[:-1], counts)
+    order = np.take(children.order, skip + np.arange(len(skip)))
+    return Segments(np.take(done, rows.indptr), order)
+
+
 def aggregate_layers(
     blocks: Blocks,
-    features: Embedding,
+    features: Module,
     aggregators: ModuleList,
     rows: Optional[np.ndarray] = None,
 ) -> Tensor:
@@ -54,51 +98,52 @@ def aggregate_layers(
     level is looked up once, as one sorted unique ``features`` call; sweep
     k then computes h^(k+1) once per unique node of each level that still
     has a deeper one, from its own h^(k) and its children's, gathered
-    through the block's row numbers (the recursion of Eq. 3).  Activations
-    stay ``(..., rows, d)``, so a stacked aggregator is one batched GEMM
-    per call.  Returns ``batch.shape + (d,)``; ``rows`` is passed on to
+    through the block's row numbers (the recursion of Eq. 3).  Each
+    gather's backward sums through a layout that a sort already made: the
+    sampler's, one per level, or the lookup's.  Activations stay
+    ``(..., rows, d)``, so a stacked aggregator is one batched GEMM per
+    call.  Returns ``batch.shape + (d,)``; ``rows`` is passed on to
     stacked aggregators.
     """
     depth = len(blocks.children)
     assert len(aggregators) == depth, "one aggregator per sweep"
-    ids, where = np.unique(np.concatenate([level.reshape(-1) for level in blocks.nodes]),
-                           return_inverse=True)
-    offsets = np.cumsum([level.size for level in blocks.nodes])[:-1]
-    where = [w.reshape(level.shape)
-             for w, level in zip(np.split(where, offsets), blocks.nodes)]
-    table = features(ids)
+    table, where, layout = _lookup(features, blocks)
+    laid_out = blocks.children_segments is not None
     # Sweep 0 reads parents and children straight from the table.
-    hidden = [
-        aggregators[0](
-            gather_rows(table, where[j]),
-            gather_rows(table, where[j + 1].reshape(-1)[blocks.children[j]]),
-            rows=rows,
-        )
-        for j in range(depth)
-    ]
+    hidden = []
+    for j in range(depth):
+        index = np.take(where[j + 1], blocks.children[j])
+        through = (partial(_through, blocks.children_segments[j], layout, j + 1)
+                   if laid_out else None)
+        hidden.append(aggregators[0](gather_rows(table, where[j], partial(layout, j)),
+                                     gather_rows(table, index, through), rows=rows))
     for k in range(1, depth):
         hidden = [
-            aggregators[k](hidden[j], gather_rows(hidden[j + 1], blocks.children[j]),
-                           rows=rows)
+            aggregators[k](
+                hidden[j],
+                gather_rows(hidden[j + 1], blocks.children[j],
+                            blocks.children_segments[j] if laid_out else None),
+                rows=rows,
+            )
             for j in range(depth - k)
         ]
-    return gather_rows(hidden[0], blocks.batch)
+    return gather_rows(hidden[0], blocks.batch, blocks.batch_segments)
 
 
 class MetapathFlow(Module):
     """Metapath-guided flows (Eq. 3), one per relationship, run stacked.
 
     ``schemes`` holds one scheme per stacked relationship; they share a
-    start type and a length, so their per-hop blocks stack
-    (:func:`~repro.sampling.neighbor_sampler.stack_blocks`) and each
-    sweep is one batched aggregation with ``(S, d_in, d_out)`` weights.  Each scheme samples with its own
-    sampler; ``rng`` may be a list of one generator per scheme.
+    start type and a length, so one stacked sampler draws their per-hop
+    blocks side by side and each sweep is one batched aggregation with
+    ``(S, d_in, d_out)`` weights.  Each scheme samples with its own
+    generator; ``rng`` may be a list of one generator per scheme.
     ``forward`` returns ``(S, B, d)``; ``rows`` runs a subset.
     ``generators`` holds the samplers' generators.
     """
 
     def __init__(self, graph: MultiplexHeteroGraph, schemes: Sequence[MetapathScheme],
-                 features: Embedding, edge_dim: int, fanouts: Sequence[int],
+                 features: Module, edge_dim: int, fanouts: Sequence[int],
                  aggregator: str = "mean", rng: SeedLike = None,
                  adjacency: Optional[TypedAdjacencyCache] = None):
         super().__init__()
@@ -115,12 +160,9 @@ class MetapathFlow(Module):
         self._features = features
         rngs = slice_rngs(rng, len(self.schemes))
         self.generators = [spawn_rng(r) for r in rngs]
-        self._samplers = [
-            MetapathNeighborSampler(
-                graph, scheme, self.fanouts, rng=generator, adjacency=adjacency
-            )
-            for scheme, generator in zip(self.schemes, self.generators)
-        ]
+        self._sampler = MetapathNeighborSampler(
+            graph, self.schemes, self.fanouts, rng=self.generators, adjacency=adjacency
+        )
         self.aggregators = ModuleList(
             [
                 make_aggregator(aggregator, edge_dim, edge_dim,
@@ -139,8 +181,7 @@ class MetapathFlow(Module):
         return self.schemes[0].start_type
 
     def forward(self, nodes: np.ndarray, rows: Optional[np.ndarray] = None) -> Tensor:
-        samplers = self._samplers if rows is None else [self._samplers[i] for i in rows]
-        blocks = stack_blocks([sampler.sample_layers(nodes) for sampler in samplers])
+        blocks = self._sampler.sample_layers(nodes, rows)
         return aggregate_layers(blocks, self._features, self.aggregators, rows)
 
 
@@ -154,7 +195,7 @@ class ExplorationFlow(Module):
 
     label = "random"
 
-    def __init__(self, graph: MultiplexHeteroGraph, features: Embedding,
+    def __init__(self, graph: MultiplexHeteroGraph, features: Module,
                  edge_dim: int, depth: int, fanout: int,
                  aggregator: str = "mean", rng: SeedLike = None):
         super().__init__()
@@ -188,7 +229,7 @@ class RandomNeighborFlow(Module):
     label = "random-neighbor"
 
     def __init__(self, graph: MultiplexHeteroGraph, relations: Sequence[str],
-                 features: Embedding, edge_dim: int, depth: int, fanout: int,
+                 features: Module, edge_dim: int, depth: int, fanout: int,
                  aggregator: str = "mean", rng: SeedLike = None):
         super().__init__()
         self.relations = list(relations)
@@ -210,18 +251,14 @@ class RandomNeighborFlow(Module):
     def labels(self) -> List[str]:
         return [self.label] * len(self.relations)
 
-    def _blocks(self, index: int, nodes: np.ndarray) -> Blocks:
-        indptr, indices = self._csr[index]
-        generator = self.generators[index]
-        return sample_blocks(
-            nodes, self.fanouts,
-            lambda hop, frontier, fanout: sample_uniform_neighbors(
-                indptr, indices, frontier, fanout, generator),
-        )
+    def _draw(self, index: int):
+        (indptr, indices), generator = self._csr[index], self.generators[index]
+        return lambda hop, frontier, fanout: sample_uniform_neighbors(
+            indptr, indices, frontier, fanout, generator)
 
     def forward(self, nodes: np.ndarray, rows: Optional[np.ndarray] = None) -> Tensor:
         picked = range(len(self.relations)) if rows is None else rows
-        blocks = stack_blocks([self._blocks(i, nodes) for i in picked])
+        blocks = sample_blocks(nodes, self.fanouts, [self._draw(i) for i in picked])
         return aggregate_layers(blocks, self._features, self.aggregators, rows)
 
 

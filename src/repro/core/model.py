@@ -20,6 +20,7 @@ The four ablation switches of Table VII are honoured via
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.graph.multiplex import MultiplexHeteroGraph
 from repro.graph.schema import MetapathScheme
 from repro.nn.layers import Embedding, Linear
 from repro.nn.module import Module, ModuleDict, ModuleList
-from repro.nn.tensor import Tensor, concat, embedding_lookup
+from repro.nn.tensor import Tensor, concat, embedding_lookup, gather_rows, segments, stable_sort
 from repro.sampling.adjacency import TypedAdjacencyCache
 from repro.utils.rng import SeedLike, as_rng, preserved_streams, spawn_rng
 
@@ -251,27 +252,33 @@ class HybridGNN(Module):
         exploration = (
             self.exploration_flow(nodes) if self.exploration_flow is not None else None
         )
+        # One stable sort splits the batch by node type; each part keeps
+        # its batch positions in ascending order.
         codes = self.graph.node_type_codes[nodes]
-        unique_codes = np.unique(codes)
+        order, ordered = stable_sort(codes)
         node_types = self.graph.schema.node_types
-        if len(unique_codes) == 1:
-            return self._type_embedding(
-                nodes, node_types[int(unique_codes[0])], wanted, exploration
-            )
+        if ordered[0] == ordered[-1]:
+            return self._type_embedding(nodes, node_types[int(ordered[0])], wanted, exploration)
         pieces: List[Tensor] = []
-        positions: List[np.ndarray] = []
-        for code in unique_codes.tolist():
-            idx = np.flatnonzero(codes == code)
-            group_exploration = exploration[idx] if exploration is not None else None
+        cuts = [0] + (np.flatnonzero(np.diff(ordered)) + 1).tolist() + [len(order)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            idx = order[lo:hi]
+            group_exploration = None
+            if exploration is not None:
+                group_exploration = gather_rows(
+                    exploration, idx, partial(segments, idx, len(nodes), np.arange(len(idx))))
             pieces.append(self._type_embedding(
-                nodes[idx], node_types[code], wanted, group_exploration
+                nodes[idx], node_types[int(ordered[lo])], wanted, group_exploration
             ))
-            positions.append(idx)
+        # Put the parts back in batch order: a permutation gathers each
+        # source row once, at the position ``order`` names.
         combined = concat(pieces, axis=1)
-        order = np.concatenate(positions)
+        offsets = np.arange(combined.shape[0])[:, None] * len(nodes)
         inverse = np.empty_like(order)
         inverse[order] = np.arange(len(order))
-        return combined[:, inverse]
+        index = offsets + inverse
+        return gather_rows(combined, index,
+                           partial(segments, index, index.size, (offsets + order).reshape(-1)))
 
     def _fused(self, nodes: np.ndarray) -> Tensor:
         """e_{v, r} for every relationship (Eqs. 3-9); shape (B, |R|, edge_dim)."""

@@ -91,14 +91,27 @@ class Adam(Optimizer):
                 continue
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data[rows]
-            # Index-array rows are copies and are written back; slice(None)
-            # rows are views, whose write-back numpy skips as a self-copy.
-            m_rows, v_rows = m[rows], v[rows]
+            # Index-array rows are copies (``np.take`` gathers rows several
+            # times faster than fancy indexing) and are written back;
+            # slice(None) rows are views, whose write-back numpy skips as a
+            # self-copy.  Two scratch arrays carry the textbook expression's
+            # operations, in its order: lr * (m / bias1) / (sqrt(v / bias2) + eps).
+            if isinstance(rows, slice):
+                m_rows, v_rows = m[rows], v[rows]
+            else:
+                m_rows, v_rows = np.take(m, rows, axis=0), np.take(v, rows, axis=0)
+            scratch = np.multiply(grad, 1.0 - self.beta1)
             m_rows *= self.beta1
-            m_rows += (1.0 - self.beta1) * grad
+            m_rows += scratch
+            np.square(grad, out=scratch)
+            scratch *= 1.0 - self.beta2
             v_rows *= self.beta2
-            v_rows += (1.0 - self.beta2) * grad**2
+            v_rows += scratch
             m[rows], v[rows] = m_rows, v_rows
-            m_hat = m_rows / bias1
-            v_hat = v_rows / bias2
-            param.subtract_rows(rows, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            np.divide(v_rows, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update = np.divide(m_rows, bias1)
+            update *= self.lr
+            update /= scratch
+            param.subtract_rows(rows, update)

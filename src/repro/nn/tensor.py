@@ -28,9 +28,11 @@ rule R003) forbids them outside the whitelisted optimizer/init modules.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+import math
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs
 
 from repro.errors import AnomalyError, AutogradError, SanitizerError, ShapeError
 from repro.nn.sanitizer import STATE as _SANITIZER
@@ -39,18 +41,85 @@ from repro.nn.tracing import STATE as _TRACING
 ArrayLike = Union[float, int, Sequence, np.ndarray, "Tensor"]
 
 
-def _sum_rows(indices: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted unique ``indices`` and the sum of ``values`` rows per index.
+class Segments(NamedTuple):
+    """Where each row occurs in a flattened index array.
 
-    Equivalent to ``np.add.at`` into a zeroed ``(unique, ...)`` buffer, and
-    bit-identical to it: ``np.bincount`` also adds its weights one by one
-    in input order, starting from zero, but runs several times faster.
+    The positions holding row ``r`` are ``order[indptr[r]:indptr[r + 1]]``,
+    in ascending order: the CSR form of the index's transpose (two int64
+    arrays), which one stable sort of the index yields (:func:`segments`).
+    The samplers build it from the sort they already make (DESIGN.md,
+    "Where duplicates are summed").
     """
-    rows, inverse = np.unique(indices, return_inverse=True)
-    width = int(np.prod(values.shape[1:], dtype=np.int64))
-    slots = (inverse[:, None] * width + np.arange(width)).reshape(-1)
-    sums = np.bincount(slots, weights=values.reshape(-1), minlength=len(rows) * width)
-    return rows, sums.reshape((len(rows),) + values.shape[1:])
+
+    indptr: np.ndarray
+    order: np.ndarray
+
+
+def stable_sort(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions of the integer ``values`` in a stable sort, and the
+    sorted values.
+
+    One ``np.sort`` of int64 keys that pack each value above its position:
+    numpy's vectorised sort of plain integers is several times faster
+    than a stable argsort, and distinct keys make any sort stable.
+    Values too wide to pack fall back to the stable argsort.
+    """
+    values = np.asarray(values).reshape(-1)
+    bits = max(len(values) - 1, 1).bit_length()
+    if len(values) and max(int(values.max()), -int(values.min())) >= 1 << (62 - bits):
+        order = np.argsort(values, kind="stable")
+        return order, values[order]
+    keys = values.astype(np.int64, copy=False) << bits
+    keys |= np.arange(len(values))
+    keys = np.sort(keys)
+    return keys & ((1 << bits) - 1), keys >> bits
+
+
+def segments(index: np.ndarray, rows: int, order: Optional[np.ndarray] = None) -> Segments:
+    """The :class:`Segments` of ``index`` over ``rows`` rows.
+
+    ``order`` is the index's positions stable-sorted by row, when a sort
+    already made them; without it this makes one (:func:`stable_sort`).
+    """
+    flat = np.asarray(index).reshape(-1)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=rows), out=indptr[1:])
+    return Segments(indptr, stable_sort(flat)[0] if order is None else order)
+
+
+def segment_sum(values: np.ndarray, layout: Segments) -> np.ndarray:
+    """Per row of ``layout``, the sum of the ``values`` rows at its positions.
+
+    Each sum starts from zero and adds its rows one by one in position
+    order, so it is bit-identical to ``np.add.at`` into a zeroed buffer or
+    a weighted ``np.bincount``.  The kernel is scipy's CSR product with a
+    matrix of ones, called directly: building a ``csr_matrix`` for it
+    costs more than the product at these sizes.  The kernel does not
+    check its indices, so a layout that points outside ``values`` raises
+    here instead.
+    """
+    indptr = np.asarray(layout.indptr, dtype=np.int64)
+    order = np.asarray(layout.order, dtype=np.int64)
+    rows, count = len(indptr) - 1, len(order)
+    if rows < 0 or indptr[0] != 0 or indptr.max() > count or (
+            count and (order.min() < 0 or order.max() >= count)):
+        raise ShapeError(f"segment layout does not address {count} positions")
+    width = math.prod(values.shape[1:])
+    flat = np.ascontiguousarray(values.reshape(count, width), dtype=np.float64)
+    sums = np.zeros((rows, width))
+    csr_matvecs(rows, count, width, indptr, order, np.ones(count), flat, sums)
+    return sums.reshape((rows,) + values.shape[1:])
+
+
+def _sum_rows(indices: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ``indices`` and the sum of ``values`` rows per index,
+    in input order (one :func:`stable_sort` and a :func:`segment_sum`)."""
+    order, ordered = stable_sort(indices)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    indptr = np.append(starts, len(ordered))
+    return ordered[starts], segment_sum(values, Segments(indptr, order))
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -143,9 +212,16 @@ class Tensor:
         """``data[rows] -= values`` in place, through the version counter.
 
         ``rows`` is a sorted unique index array or ``slice(None)``; this is
-        the write path of the row-wise optimisers.
+        the write path of the row-wise optimisers.  Index rows are read
+        with ``np.take``, which gathers rows several times faster than
+        fancy indexing, and written back once.
         """
-        self._data[rows] -= values
+        if isinstance(rows, slice):
+            self._data[rows] -= values
+        else:
+            current = np.take(self._data, rows, axis=0)
+            current -= values
+            self._data[rows] = current
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -637,10 +713,16 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         out_data = self._data[key]
+        basic = all(isinstance(k, (int, np.integer, slice, type(None), type(Ellipsis)))
+                    and not isinstance(k, (bool, np.bool_))
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self._data)
-            np.add.at(full, key, grad)
+            if basic:
+                full[key] += grad  # a basic index addresses each element once
+            else:
+                np.add.at(full, key, grad)
             self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward, op="getitem")
@@ -718,7 +800,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices)
     if not np.issubdtype(indices.dtype, np.integer):
         raise ShapeError("embedding_lookup indices must be integers")
-    out_data = weight.data[indices]
+    out_data = np.take(weight.data, indices, axis=0)
 
     def backward(grad: np.ndarray) -> None:
         table = weight.data
@@ -741,25 +823,38 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     )
 
 
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+def gather_rows(x: Tensor, index: np.ndarray,
+                layout: Union[Segments, Callable[[], Segments], None] = None) -> Tensor:
     """Differentiable gather of the vectors along ``x``'s last axis.
 
     ``x`` is read as ``(rows, d)`` with its leading axes flattened, so row
     ``s * n + i`` of a stacked ``(S, n, d)`` input is ``x[s, i]``.  The
-    result has shape ``index.shape + (d,)``.  Backward scatter-adds each
-    output row into its source row through ``index`` (one ``bincount``,
-    no sort), so duplicated rows are summed where the duplicates arise.
+    result has shape ``index.shape + (d,)``.  Backward sums each output
+    row into its source row through ``index``'s :class:`Segments`
+    (:func:`segment_sum`), so duplicated rows are summed where the
+    duplicates arise.  ``layout`` must equal ``segments(index, rows)``,
+    or be a function that builds it when a backward first needs it: the
+    flows pass what their sorts made, so a forward that is never
+    differentiated builds nothing.  Without it the backward sorts
+    ``index`` itself.
     """
     index = np.asarray(index)
     if not np.issubdtype(index.dtype, np.integer):
         raise ShapeError("gather_rows index must be integers")
     width = x.shape[-1]
-    out_data = x.data.reshape(-1, width)[index]
+    rows = math.prod(x.shape[:-1])
+    out_data = np.take(x.data.reshape(-1, width), index, axis=0)
 
     def backward(grad: np.ndarray) -> None:
-        slots = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        sums = np.bincount(slots, weights=grad.reshape(-1), minlength=x.size)
-        x._accumulate(sums.reshape(x.shape))
+        made = layout() if callable(layout) else layout
+        if made is None:
+            made = segments(index, rows)
+        elif len(made.indptr) != rows + 1 or len(made.order) != index.size:
+            raise ShapeError(
+                f"gather_rows layout covers {len(made.indptr) - 1} rows and "
+                f"{len(made.order)} positions, the index {rows} and {index.size}"
+            )
+        x._accumulate(segment_sum(grad.reshape(-1, width), made).reshape(x.shape))
 
     return Tensor._make(
         out_data, (x,), backward, op="gather_rows",

@@ -25,7 +25,6 @@ from repro.sampling.neighbor_sampler import (
     Blocks,
     MetapathNeighborSampler,
     sample_blocks,
-    stack_blocks,
 )
 from repro.sampling.negative import UnigramNegativeSampler
 from repro.sampling.context import batches, context_pairs, relation_context_pairs
@@ -49,7 +48,6 @@ __all__ = [
     "MetapathNeighborSampler",
     "Blocks",
     "sample_blocks",
-    "stack_blocks",
     "UnigramNegativeSampler",
     "context_pairs",
     "relation_context_pairs",

@@ -68,17 +68,19 @@ def sample_uniform_neighbors(
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     flat = nodes.reshape(-1)
-    degrees = indptr[flat + 1] - indptr[flat]
+    # ``np.take`` gathers several times faster than fancy indexing.
+    starts = np.take(indptr, flat)
+    degrees = np.take(indptr, flat + 1) - starts
     # Scale the uniform draws in place: same multiply, same truncation,
     # one less (flat.size, count) float64 temporary.
     draws = rng.random((flat.size, count))
     np.multiply(draws, np.maximum(degrees, 1)[:, None], out=draws)
-    offsets = draws.astype(np.int64)
-    positions = indptr[flat][:, None] + offsets
+    positions = draws.astype(np.int64)
+    positions += starts[:, None]
     # Clip positions for zero-degree rows (value is replaced below anyway).
-    positions = np.minimum(positions, len(indices) - 1 if len(indices) else 0)
+    np.minimum(positions, len(indices) - 1 if len(indices) else 0, out=positions)
     if len(indices):
-        sampled = indices[positions]
+        sampled = np.take(indices, positions)
     else:
         sampled = np.zeros((flat.size, count), dtype=np.int64)
     if fallback is None:

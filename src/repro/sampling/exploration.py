@@ -51,7 +51,7 @@ class RandomizedExploration:
     # ------------------------------------------------------------------
     def _choose_relations(self, nodes: np.ndarray) -> np.ndarray:
         """Vectorised phase 1: a relationship index per node (-1 if none)."""
-        degrees = self._degree_matrix[nodes]  # (batch, R)
+        degrees = np.take(self._degree_matrix, nodes, axis=0)  # (batch, R)
         active = degrees > 0
         counts = active.sum(axis=1)
         # In-place scale: bit-identical draws, one less batch-sized
@@ -148,4 +148,4 @@ class RandomizedExploration:
             next_nodes, _ = self.step(np.repeat(frontier, fanout))
             return next_nodes.reshape(len(frontier), fanout)
 
-        return sample_blocks(nodes, fanouts, draw)
+        return sample_blocks(nodes, fanouts, [draw]).single()

@@ -214,6 +214,9 @@ class RelationEmbeddingCache:
         self._tables: Dict[str, Dict[str, np.ndarray]] = {}  # repro-lint: guarded-by=_lock
         self._norms: Dict[str, Dict[str, np.ndarray]] = {}  # repro-lint: guarded-by=_lock
         self._versions: Dict[str, int] = {}  # repro-lint: guarded-by=_lock
+        # (relation, node type, "table" | "norms") -> the buffer whose
+        # prefix is that block, once the block has grown.
+        self._buffers: Dict[Tuple[str, str, str], np.ndarray] = {}  # repro-lint: guarded-by=_lock
         self._version_clock = 0  # repro-lint: guarded-by=_lock
         self.hits = 0  # repro-lint: guarded-by=_lock
         self.misses = 0  # repro-lint: guarded-by=_lock
@@ -275,27 +278,46 @@ class RelationEmbeddingCache:
 
         The pools must already include the new nodes; since ids only grow
         they sit at the end of their type's pool, so the blocks keep pool
-        order.  A refresh that added no node (a compaction) keeps every
-        block as it is.
+        order.  A grown block is a prefix view of a buffer with zeroed
+        spare rows (:meth:`_extended`), so most arrivals copy nothing; a
+        read still holding the shorter view sees unchanged rows.  A
+        refresh that added no node (a compaction) keeps every block as it
+        is.
         """
         with self._lock, self._region:
             for relation, blocks in self._tables.items():
                 norms = self._norms.get(relation)
                 grown = False
                 for node_type, block in blocks.items():
-                    missing = len(self.pools.type_pool(node_type)) - len(block)
-                    if missing <= 0:
+                    rows = len(self.pools.type_pool(node_type))
+                    if rows <= len(block):
                         continue
-                    blocks[node_type] = np.concatenate(
-                        [block, np.zeros((missing, block.shape[1]), block.dtype)]
-                    )
+                    blocks[node_type] = self._extended(
+                        (relation, node_type, "table"), block, rows)
                     if norms is not None:
-                        norms[node_type] = np.concatenate(
-                            [norms[node_type], np.zeros(missing)]
-                        )
+                        norms[node_type] = self._extended(
+                            (relation, node_type, "norms"), norms[node_type], rows)
                     grown = True
                 if grown:
                     self._bump(relation)
+
+    def _extended(self, key: Tuple[str, str, str], block: np.ndarray,  # repro-lint: holds=_lock
+                  rows: int) -> np.ndarray:
+        """``block`` grown to ``rows`` rows with zeros, as a C-contiguous
+        prefix view of the buffer kept under ``key``.
+
+        While the block is a view of that buffer and the buffer has room,
+        the block grows into its spare rows, which nothing has written, so
+        they are still zero.  Otherwise the rows move to a new buffer with
+        about an eighth spare (at least 64 rows), so N arrivals reallocate
+        O(log N) times.
+        """
+        buffer = self._buffers.get(key)
+        if buffer is None or block.base is not buffer or len(buffer) < rows:
+            buffer = np.zeros((rows + max(64, rows // 8),) + block.shape[1:], dtype=block.dtype)
+            buffer[:len(block)] = block
+            self._buffers[key] = buffer
+        return buffer[:rows]
 
     @property
     def cached_relations(self) -> List[str]:

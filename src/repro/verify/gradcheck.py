@@ -744,6 +744,23 @@ def _case_gather_rows(rng):
     return (lambda: (gather_rows(x, idx) * Tensor(weights)).sum()), [x], ["x"]
 
 
+@register("functional.gather_rows_sampled_layout", targets=("gather_rows",))
+def _case_gather_rows_sampled_layout(rng):
+    from repro.nn.tensor import gather_rows
+    from repro.sampling.neighbor_sampler import sample_blocks
+
+    def draw(shift):
+        return lambda hop, frontier, fanout: (
+            (shift * frontier[:, None] + np.arange(fanout)) % (3 + shift))
+
+    # Two slices of different widths: padded rows, offsets and repeats.
+    blocks = sample_blocks(np.asarray([3, 1, 3, 0]), [3], [draw(1), draw(2)])
+    children, layout = blocks.children[0], blocks.children_segments[0]
+    x = _t(rng, 2, blocks.nodes[1].shape[1], 4)
+    weights = rng.standard_normal(children.shape + (4,))
+    return (lambda: (gather_rows(x, children, layout) * Tensor(weights)).sum()), [x], ["x"]
+
+
 @register("functional.sparse_matmul", targets=("sparse_matmul",))
 def _case_sparse_matmul(rng):
     from scipy import sparse

@@ -117,6 +117,15 @@ class TestMetapathFlow:
         out = flow(graph.nodes_of_type("user")[:3])
         assert out.shape == (1, 3, 4)
 
+    def test_empty_batch_gives_empty_output(self, taobao_dataset):
+        graph = taobao_dataset.graph
+        scheme = taobao_dataset.schemes_for("page_view")[0]
+        features = Embedding(graph.num_nodes, 6, rng=0)
+        flow = MetapathFlow(graph, [scheme, scheme], features, 6, (3, 2), rng=0)
+        out = flow(np.zeros(0, dtype=np.int64))
+        assert out.shape == (2, 0, 6)
+        out.sum().backward()
+
 
 class TestExplorationFlow:
     def test_forward_shape(self, taobao_dataset):

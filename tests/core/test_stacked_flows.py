@@ -22,6 +22,7 @@ from repro.errors import CheckError
 from repro.graph.schema import intra_relationship_schemes
 from repro.nn import Embedding
 from repro.nn.tracing import set_trace_handler
+from repro.sampling import MetapathNeighborSampler
 
 
 def test_one_taobao_xl_step_builds_at_most_175_ops():
@@ -53,10 +54,11 @@ def test_slice_equals_per_relationship_flow_by_hand(taobao_dataset):
     flow = MetapathFlow(graph, schemes, features, 4, (3, 2), rng=0)
     nodes = np.concatenate([graph.nodes_of_type("user")[:6]] * 2)[::-1]
     r = 2
-    state = flow._samplers[r]._rng.bit_generator.state
+    state = flow.generators[r].bit_generator.state
     stacked = flow(nodes).data
-    flow._samplers[r]._rng.bit_generator.state = state
-    blocks = flow._samplers[r].sample_layers(nodes)
+    flow.generators[r].bit_generator.state = state
+    blocks = MetapathNeighborSampler(graph, schemes[r], flow.fanouts,
+                                     rng=flow.generators[r]).sample_layers(nodes)
 
     table = features.weight.data
     hidden = [table[level] for level in blocks.nodes]
@@ -80,12 +82,13 @@ def test_padded_stack_slots_add_no_gradient_rows(taobao_dataset):
     features = Embedding(graph.num_nodes, 4, rng=0)
     flow = MetapathFlow(graph, schemes, features, 4, (3, 2), rng=0)
     nodes = graph.nodes_of_type("user")[:6]
-    states = [sampler._rng.bit_generator.state for sampler in flow._samplers]
+    states = [generator.bit_generator.state for generator in flow.generators]
     flow(nodes).sum().backward()
     sampled = []
-    for sampler, state in zip(flow._samplers, states):
-        sampler._rng.bit_generator.state = state
-        sampled += sampler.sample_layers(nodes).nodes
+    for scheme, generator, state in zip(schemes, flow.generators, states):
+        generator.bit_generator.state = state
+        sampled += MetapathNeighborSampler(graph, scheme, flow.fanouts,
+                                           rng=generator).sample_layers(nodes).nodes
     widths = {len(level) for level in sampled[1::3]}
     assert len(widths) > 1, "the slices must differ in width for padding to occur"
     rows, _ = features.weight.grad_rows()

@@ -15,6 +15,8 @@ from repro.nn import (
     stack,
     where,
 )
+from repro.nn.tensor import Segments, segment_sum, segments, stable_sort
+from repro.sampling import sample_blocks
 from repro.verify.gradcheck import check_gradients
 
 
@@ -295,3 +297,74 @@ class TestBackwardSemantics:
         out = a.sum()
         with pytest.raises(ShapeError):
             out.backward(np.ones(2))
+
+
+def bincount_backward(index, grad, rows):
+    """The scatter-add ``gather_rows`` made before it took layouts: one
+    weighted ``bincount`` over an ``index x width`` slot array."""
+    width = grad.shape[-1]
+    slots = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(slots, weights=grad.reshape(-1), minlength=rows * width)
+    return sums.reshape(rows, width)
+
+
+class TestGatherRowsLayout:
+    @staticmethod
+    def indices(case, rng):
+        if case == "duplicates":  # rows 3-6 unused, rows 0-2 repeated ~70 times
+            return 7, rng.integers(0, 3, (50, 4)), None
+        if case == "empty":
+            return 5, np.zeros((0, 3), dtype=np.int64), None
+        def draw(shift):
+            return lambda hop, frontier, fanout: (
+                (shift * frontier[:, None] + np.arange(fanout)) % (9 + shift))
+
+        # Stacked slices of unequal widths: padding, offsets and repeats.
+        blocks = sample_blocks(rng.integers(0, 12, 40), [4], [draw(1), draw(3), draw(5)])
+        return blocks.nodes[1].size, blocks.children[0], blocks.children_segments[0]
+
+    @pytest.mark.parametrize("case", ["duplicates", "empty", "stacked"])
+    def test_backward_is_bit_identical_to_bincount(self, case):
+        rng = np.random.default_rng(0)
+        rows, index, sampled = self.indices(case, rng)
+        # Mixed magnitudes and signed zeros make any change of order show.
+        grad = rng.standard_normal(index.shape + (6,)) * 10.0 ** rng.integers(
+            -8, 8, index.shape + (1,))
+        grad[rng.random(grad.shape) < 0.1] = -0.0
+        want = bincount_backward(index, grad, rows)
+        layouts = [None, segments(index, rows), lambda: segments(index, rows)]
+        layouts += [sampled] if sampled is not None else []
+        for layout in layouts:
+            x = Tensor(rng.standard_normal((rows, 6)), requires_grad=True)
+            gather_rows(x, index, layout).backward(grad)
+            assert x.grad.tobytes() == want.tobytes()
+
+    def test_segment_sum_rejects_a_layout_outside_the_values(self):
+        values = np.ones((3, 2))
+        for indptr, order in [([0, 5, 3], [0, 1, 2]), ([1, 3], [0, 1, 2]),
+                              ([0, 3], [0, 1, 3]), ([0, 3], [0, -1, 2])]:
+            with pytest.raises(ShapeError):
+                segment_sum(values, Segments(np.asarray(indptr), np.asarray(order)))
+
+    def test_layout_must_cover_the_index(self):
+        x = Tensor(np.ones((4, 2)), requires_grad=True)
+        for layout in (segments(np.asarray([0, 1, 1]), 4),
+                       lambda: segments(np.asarray([0, 1]), 3)):
+            out = gather_rows(x, np.asarray([0, 1]), layout)
+            with pytest.raises(ShapeError):
+                out.sum().backward()
+
+
+class TestStableSort:
+    @pytest.mark.parametrize("values", [
+        np.zeros(0, dtype=np.int64),
+        np.asarray([3, 1, 3, 0, 1, 3]),
+        np.random.default_rng(0).integers(-50, 50, 400),
+        np.random.default_rng(1).integers(0, 5, 300).astype(np.int8),
+        np.asarray([2**61, -(2**61), 5, 2**61, 0]),  # too wide to pack
+    ])
+    def test_matches_a_stable_argsort(self, values):
+        order, ordered = stable_sort(values)
+        want = np.argsort(values, kind="stable")
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(ordered, values[want])

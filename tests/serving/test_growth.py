@@ -64,3 +64,34 @@ def test_cold_nodes_and_compaction_keep_every_table():
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
     assert engine.cache.misses == misses
+
+
+def test_cold_nodes_reallocate_a_block_logarithmically_often():
+    """Blocks grow into spare rows: N cold nodes move a block O(log N)
+    times, every block stays C-contiguous and the cold rows stay zero."""
+    from repro.serving.deltas import DeltaGraphView
+
+    graph = load_dataset("taobao", scale=0.1, seed=0).graph
+    relation = graph.schema.relationships[0]
+    rng = np.random.default_rng(5)
+    store = EmbeddingStore({relation: rng.standard_normal((graph.num_nodes, 4))})
+    view = DeltaGraphView(graph)
+    engine = BatchServingEngine(ColdStartEmbedder(store, graph.num_nodes), view)
+    engine.cache.norms(relation)
+    warm = {t: b.copy() for t, b in engine.cache.table(relation).items()}
+    arrivals, moves, buffer = 1000, 0, None
+    for _ in range(arrivals):
+        view.add_node("user")
+        engine.refresh_topology()
+        block = engine.cache.table(relation)["user"]
+        assert block.flags.c_contiguous
+        if block.base is not buffer:
+            moves, buffer = moves + 1, block.base
+    blocks, norms = engine.cache.table(relation), engine.cache.norms(relation)
+    users = len(warm["user"])
+    np.testing.assert_array_equal(blocks["user"][:users], warm["user"])
+    assert not blocks["user"][users:].any() and not norms["user"][users:].any()
+    assert len(blocks["user"]) == len(norms["user"]) == users + arrivals
+    np.testing.assert_array_equal(blocks["item"], warm["item"])
+    # One buffer per 64 rows up to 512 rows, then one per growth by an eighth.
+    assert moves <= 1 + 512 / 64 + np.log((users + arrivals) / 512) / np.log(9 / 8), moves
