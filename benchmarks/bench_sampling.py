@@ -1,8 +1,8 @@
 """Micro-benchmarks: batched frontier sampling vs the scalar references.
 
-Each case times the retained ``_reference`` (pre-frontier, one-walk-at-a-time)
-implementation against the batched frontier engine on the same workload and
-reports the speedup.  Run standalone via ``benchmarks/run_bench.py`` (writes
+Each case times the pre-frontier, one-walk-at-a-time ``_reference_*``
+implementation (:mod:`repro.verify.references`) against the batched
+frontier engine on the same workload and reports the speedup.  Run standalone via ``benchmarks/run_bench.py`` (writes
 ``BENCH_sampling.json``) or under pytest:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_sampling.py -q
@@ -26,7 +26,13 @@ from repro.sampling import (
     context_pairs,
     relationship_walk_matrix,
 )
-from repro.sampling.context import _reference_context_pairs
+from repro.verify.references import (
+    _reference_context_pairs,
+    _reference_metapath_walk,
+    _reference_node2vec_walk,
+    _reference_uniform_walk,
+    _reference_walks,
+)
 
 
 def _time(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -54,10 +60,15 @@ def _case(name: str, reference: Callable[[], object],
 # ----------------------------------------------------------------------
 # Cases
 # ----------------------------------------------------------------------
+def _reference_uniform_walks(graph, num_walks: int, length: int) -> List[List[int]]:
+    return _reference_walks(_reference_uniform_walk, UniformRandomWalker(graph, rng=0),
+                            np.arange(graph.num_nodes), num_walks, length)
+
+
 def bench_uniform_walks(graph, num_walks: int, length: int) -> Dict[str, float]:
     return _case(
         "uniform_walks",
-        lambda: UniformRandomWalker(graph, rng=0)._reference_walks(num_walks, length),
+        lambda: _reference_uniform_walks(graph, num_walks, length),
         lambda: UniformRandomWalker(graph, rng=0).walks_matrix(num_walks, length),
     )
 
@@ -68,7 +79,8 @@ def bench_metapath_walks(dataset, num_walks: int, length: int) -> Dict[str, floa
     scheme = dataset.schemes_for(relation)[0]
     return _case(
         "metapath_walks",
-        lambda: MetapathWalker(graph, scheme, rng=0)._reference_walks(num_walks, length),
+        lambda: _reference_walks(_reference_metapath_walk, MetapathWalker(graph, scheme, rng=0),
+                                 graph.nodes_of_type(scheme.start_type), num_walks, length),
         lambda: MetapathWalker(graph, scheme, rng=0).walks_matrix(num_walks, length),
     )
 
@@ -76,10 +88,10 @@ def bench_metapath_walks(dataset, num_walks: int, length: int) -> Dict[str, floa
 def bench_node2vec_walks(graph, num_walks: int, length: int) -> Dict[str, float]:
     return _case(
         "node2vec_walks",
-        lambda: Node2VecWalker(graph, p=2.0, q=0.5, rng=0)._reference_walks(
-            num_walks, length
-        ),
-        lambda: Node2VecWalker(graph, p=2.0, q=0.5, rng=0).walks(num_walks, length),
+        lambda: _reference_walks(_reference_node2vec_walk,
+                                 Node2VecWalker(graph, p=2.0, q=0.5, rng=0),
+                                 np.arange(graph.num_nodes), num_walks, length),
+        lambda: Node2VecWalker(graph, p=2.0, q=0.5, rng=0).walks_matrix(num_walks, length),
         repeats=2,
     )
 
@@ -101,8 +113,9 @@ def bench_walks_plus_pairs(graph, num_walks: int, length: int,
     """The acceptance-criterion case: full walk + pair generation pipeline."""
 
     def reference():
-        walks = UniformRandomWalker(graph, rng=0)._reference_walks(num_walks, length)
-        return _reference_context_pairs(walks, window)
+        return _reference_context_pairs(
+            _reference_uniform_walks(graph, num_walks, length), window
+        )
 
     def batched():
         matrix, lengths = UniformRandomWalker(graph, rng=0).walks_matrix(
@@ -126,7 +139,10 @@ def bench_generate_pairs(dataset, num_walks: int, length: int,
             for scheme in schemes.get(relation, []):
                 walker = MetapathWalker(graph, scheme, rng=0, adjacency=adjacency)
                 adjacency = walker._adjacency
-                walks.extend(walker._reference_walks(num_walks, length))
+                walks.extend(_reference_walks(
+                    _reference_metapath_walk, walker,
+                    graph.nodes_of_type(scheme.start_type), num_walks, length,
+                ))
             walks = [walk for walk in walks if len(walk) > 1]
             _reference_context_pairs(walks, window)
 

@@ -37,7 +37,7 @@ class DeepWalk(SingleEmbeddingModel):
     def fit(self, dataset: Dataset, split: EdgeSplit) -> None:
         graph = split.train_graph
         walker = UniformRandomWalker(graph, rng=spawn_rng(self._rng))
-        walks = walker.walks(self.num_walks, self.walk_length)
+        walks = walker.walks_matrix(self.num_walks, self.walk_length)
         pairs = context_pairs(walks, self.window)
         sampler = UnigramNegativeSampler(graph, rng=spawn_rng(self._rng))
         # DeepWalk ignores node types: draw negatives globally by overriding

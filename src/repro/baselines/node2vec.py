@@ -39,7 +39,7 @@ class Node2Vec(SingleEmbeddingModel):
     def fit(self, dataset: Dataset, split: EdgeSplit) -> None:
         graph = split.train_graph
         walker = Node2VecWalker(graph, p=self.p, q=self.q, rng=spawn_rng(self._rng))
-        walks = walker.walks(self.num_walks, self.walk_length)
+        walks = walker.walks_matrix(self.num_walks, self.walk_length)
         pairs = context_pairs(walks, self.window)
         sampler = UnigramNegativeSampler(graph, rng=spawn_rng(self._rng))
         model = SkipGramEmbeddings(

@@ -30,9 +30,6 @@ Scope and escape hatches:
   ``serving/`` and ``train/`` — the paths whose stages carry ~97% of
   serving time and the per-epoch training cost.  R014/R015 only apply
   there; R013/R016/R017 apply tree-wide.
-- ``_reference_*`` functions are whitelisted by name for every rule in
-  this pack: the scalar oracle paths are deliberately naive so the
-  vectorised implementations have something bit-exact to diff against.
 - The *sanctioned* growth pattern — append parts to a list inside the
   loop, concatenate/asarray **once after** the loop — is recognised and
   not flagged by R013; only growth calls lexically inside the loop body
@@ -82,54 +79,48 @@ def _is_hot_module(rel_path: str) -> bool:
     return len(parts) > 1 and parts[0] in _HOT_PACKAGES
 
 
-def _scoped_walk(tree: ast.Module) -> List[Tuple[ast.AST, str, bool]]:
-    """Every node with its enclosing scope label and oracle-path flag.
+def _scoped_walk(tree: ast.Module) -> List[Tuple[ast.AST, str]]:
+    """Every node with its enclosing scope label, in source order.
 
-    Returns ``(node, scope, in_reference)`` triples in source order.
     ``scope`` is the dotted chain of enclosing class/function names
-    (``"<module>"`` at top level); ``in_reference`` is True inside a
-    ``_reference_*`` function, whose deliberately scalar code is
-    whitelisted for the whole perf pack.
+    (``"<module>"`` at top level).
     """
-    out: List[Tuple[ast.AST, str, bool]] = []
+    out: List[Tuple[ast.AST, str]] = []
 
-    def visit(node: ast.AST, scope: str, ref: bool) -> None:
+    def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
-            child_scope, child_ref = scope, ref
+            child_scope = scope
             if isinstance(child, _FUNCTION_DEFS + (ast.ClassDef,)):
                 child_scope = (
                     child.name if scope == "<module>" else f"{scope}.{child.name}"
                 )
-                if isinstance(child, _FUNCTION_DEFS) and \
-                        child.name.startswith("_reference_"):
-                    child_ref = True
-            out.append((child, child_scope, child_ref))
-            visit(child, child_scope, child_ref)
+            out.append((child, child_scope))
+            visit(child, child_scope)
 
-    visit(tree, "<module>", False)
+    visit(tree, "<module>")
     return out
 
 
 def _loops_with_scope(tree: ast.Module) -> List[Tuple[ast.AST, str]]:
-    """All for/while loops outside ``_reference_*`` oracles, outermost first."""
+    """All for/while loops with their scopes, outermost first."""
     return [
         (node, scope)
-        for node, scope, ref in _scoped_walk(tree)
-        if isinstance(node, _LOOPS) and not ref
+        for node, scope in _scoped_walk(tree)
+        if isinstance(node, _LOOPS)
     ]
 
 
-def _scope_units(tree: ast.Module) -> List[Tuple[str, ast.AST, bool]]:
+def _scope_units(tree: ast.Module) -> List[Tuple[str, ast.AST]]:
     """The module plus every function, as independent name scopes.
 
-    Returns ``(label, unit, in_reference)``; used where name tracking
-    must not leak across functions (two functions reusing a local name
-    for different kinds of values).
+    Returns ``(label, unit)``; used where name tracking must not leak
+    across functions (two functions reusing a local name for different
+    kinds of values).
     """
-    units: List[Tuple[str, ast.AST, bool]] = [("<module>", tree, False)]
-    for node, scope, ref in _scoped_walk(tree):
+    units: List[Tuple[str, ast.AST]] = [("<module>", tree)]
+    for node, scope in _scoped_walk(tree):
         if isinstance(node, _FUNCTION_DEFS):
-            units.append((scope, node, ref))
+            units.append((scope, node))
     return units
 
 
@@ -328,8 +319,8 @@ class DtypePromotionRule(Rule):
             if _INTENT_RE.search(line)
         }
         findings: List[Finding] = []
-        for node, scope, ref in _scoped_walk(ctx.tree):
-            if ref or not isinstance(node, ast.Call):
+        for node, scope in _scoped_walk(ctx.tree):
+            if not isinstance(node, ast.Call):
                 continue
             func = node.func
             if not isinstance(func, ast.Attribute) or func.attr != "astype":
@@ -399,9 +390,7 @@ class NdarrayIterationRule(Rule):
                 header_nodes.update(id(sub) for sub in ast.walk(node.iter))
         findings: List[Finding] = []
         seen: Set[int] = set()
-        for scope, unit, ref in _scope_units(ctx.tree):
-            if ref:
-                continue
+        for scope, unit in _scope_units(ctx.tree):
             tracked = self._tracked_arrays(unit)
             for loop in _own_walk(unit):
                 if not isinstance(loop, _LOOPS):

@@ -8,7 +8,7 @@ runs:
 
     profiler = StageProfiler()
     with profiler.stage("sampling.walks"):
-        walks = walker.walks(...)
+        walks = walker.walks_matrix(...)
     profiler.report()  # {"sampling.walks": {"seconds": ..., "calls": ...}, ...}
 
 Besides totals, each stage keeps a bounded window of recent per-activation

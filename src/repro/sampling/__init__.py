@@ -6,20 +6,10 @@ from repro.sampling.adjacency import (
     step_uniform,
 )
 from repro.sampling.alias import AliasTable
-from repro.sampling.frontier import (
-    PAD,
-    concat_matrices,
-    matrix_to_walks,
-    run_frontier,
-    walks_to_matrix,
-)
+from repro.sampling.frontier import PAD, concat_matrices, run_frontier
 from repro.sampling.random_walk import UniformRandomWalker
 from repro.sampling.node2vec_walk import Node2VecWalker
-from repro.sampling.metapath_walk import (
-    MetapathWalker,
-    relationship_walk_matrix,
-    relationship_walks,
-)
+from repro.sampling.metapath_walk import MetapathWalker, relationship_walk_matrix
 from repro.sampling.exploration import RandomizedExploration
 from repro.sampling.neighbor_sampler import (
     Blocks,
@@ -27,7 +17,7 @@ from repro.sampling.neighbor_sampler import (
     sample_blocks,
 )
 from repro.sampling.negative import UnigramNegativeSampler
-from repro.sampling.context import batches, context_pairs, relation_context_pairs
+from repro.sampling.context import context_pairs
 
 __all__ = [
     "AliasTable",
@@ -36,20 +26,15 @@ __all__ = [
     "sample_uniform_neighbors",
     "step_uniform",
     "run_frontier",
-    "matrix_to_walks",
-    "walks_to_matrix",
     "concat_matrices",
     "UniformRandomWalker",
     "Node2VecWalker",
     "MetapathWalker",
     "relationship_walk_matrix",
-    "relationship_walks",
     "RandomizedExploration",
     "MetapathNeighborSampler",
     "Blocks",
     "sample_blocks",
     "UnigramNegativeSampler",
     "context_pairs",
-    "relation_context_pairs",
-    "batches",
 ]

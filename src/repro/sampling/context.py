@@ -8,24 +8,18 @@ whose walk produced it.
 Extraction is a pure numpy window gather over the padded walk matrix: every
 (center position, window offset) cell is materialised by broadcasting and
 the out-of-range / past-end cells are masked away.  The output rows are
-ordered exactly like the historical nested loop — (walk, center position,
-context position ascending) — so the vectorised path is a drop-in,
-bit-identical replacement (see ``_reference_context_pairs``).
+ordered exactly like a nested loop over (walk, center position, context
+position ascending), so they equal the scalar truth
+:func:`repro.verify.references._reference_context_pairs` bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.frontier import walks_to_matrix
-
-WalkCorpus = Union[
-    Iterable[Sequence[int]],            # historical list-of-lists form
-    Tuple[np.ndarray, np.ndarray],      # (matrix, lengths) padded form
-]
 
 # Rows processed per chunk; bounds the (rows, L, 2*window) scratch tensor.
 _CHUNK_ROWS = 16_384
@@ -58,72 +52,17 @@ def _pairs_from_matrix(matrix: np.ndarray, lengths: np.ndarray,
     return np.concatenate(chunks, axis=0)
 
 
-def context_pairs(walks: WalkCorpus, window: int) -> np.ndarray:
+def context_pairs(walks: Tuple[np.ndarray, np.ndarray], window: int) -> np.ndarray:
     """Extract all (center, context) pairs within ``window`` of each other.
 
-    ``walks`` is either an iterable of walks (lists of node ids, possibly
-    ragged) or a ``(matrix, lengths)`` pair as produced by the frontier
-    engine.  Returns an int array of shape (num_pairs, 2); empty walks
-    contribute nothing.
+    ``walks`` is a ``(matrix, lengths)`` pair as the walkers return it
+    (:mod:`repro.sampling.frontier`).  Returns an int array of shape
+    (num_pairs, 2); empty and single-node walks contribute nothing.
     """
     if window <= 0:
         raise SamplingError(f"window must be positive, got {window}")
-    if (
-        isinstance(walks, tuple)
-        and len(walks) == 2
-        and isinstance(walks[0], np.ndarray)
-        and walks[0].ndim == 2
-    ):
-        matrix, lengths = walks
-        lengths = np.asarray(lengths, dtype=np.int64)
-    else:
-        matrix, lengths = walks_to_matrix(list(walks))
+    matrix, lengths = walks
     if matrix.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return _pairs_from_matrix(np.asarray(matrix, dtype=np.int64), lengths, window)
-
-
-def _reference_context_pairs(walks: Iterable[Sequence[int]],
-                             window: int) -> np.ndarray:
-    """The original nested-loop extraction, retained for equivalence tests."""
-    if window <= 0:
-        raise SamplingError(f"window must be positive, got {window}")
-    centers: List[int] = []
-    contexts: List[int] = []
-    for walk in walks:
-        length = len(walk)
-        for i in range(length):
-            lo = max(0, i - window)
-            hi = min(length, i + window + 1)
-            for k in range(lo, hi):
-                if k == i:
-                    continue
-                centers.append(walk[i])
-                contexts.append(walk[k])
-    if not centers:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.stack(
-        [np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)],
-        axis=1,
-    )
-
-
-def relation_context_pairs(
-    walks_by_relation: dict,
-    window: int,
-) -> List[Tuple[str, np.ndarray]]:
-    """Per-relationship context pairs: ``{rel: walks}`` -> ``[(rel, pairs)]``."""
-    return [
-        (relation, context_pairs(walks, window))
-        for relation, walks in walks_by_relation.items()
-    ]
-
-
-def batches(pairs: np.ndarray, batch_size: int,
-            rng: np.random.Generator) -> Iterable[np.ndarray]:
-    """Yield shuffled mini-batches of rows of ``pairs``."""
-    if batch_size <= 0:
-        raise SamplingError(f"batch size must be positive, got {batch_size}")
-    order = rng.permutation(len(pairs))
-    for start in range(0, len(pairs), batch_size):
-        yield pairs[order[start: start + batch_size]]
+    return _pairs_from_matrix(np.asarray(matrix, dtype=np.int64),
+                              np.asarray(lengths, dtype=np.int64), window)

@@ -110,27 +110,6 @@ class RandomizedExploration:
         matrix, lengths = run_frontier(starts, length, step)
         return matrix, lengths, relations
 
-    def walk(self, start: int, length: int) -> Tuple[List[int], List[str]]:
-        """One exploration walk; returns (nodes, relations-used)."""
-        matrix, lengths, relations = self.walk_matrix(np.asarray([start]), length)
-        n = int(lengths[0])
-        path = matrix[0, :n].tolist()
-        relations_used = [self._relations[rel] for rel in relations[0, 1:n].tolist()]
-        return path, relations_used
-
-    def _reference_walk(self, start: int, length: int) -> Tuple[List[int], List[str]]:
-        """Scalar pre-frontier loop, retained for equivalence tests."""
-        path = [int(start)]
-        relations_used: List[str] = []
-        current = np.asarray([start], dtype=np.int64)
-        for _ in range(length - 1):
-            current, chosen = self.step(current)
-            if chosen[0] < 0:
-                break
-            path.append(int(current[0]))
-            relations_used.append(self._relations[int(chosen[0])])
-        return path, relations_used
-
     def sample_layers(self, nodes: np.ndarray, depth: int,
                       fanouts: List[int]) -> Blocks:
         """Fixed-size exploration neighborhoods for batched aggregation.

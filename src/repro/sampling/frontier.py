@@ -22,15 +22,14 @@ exit of the scalar loops, but per-row.
 
 Walk matrices are int64 arrays of shape ``(W, L)`` padded with
 :data:`PAD` (-1) past each walk's end; ``lengths[w]`` gives the number of
-valid entries in row ``w``.  :func:`matrix_to_walks` /
-:func:`walks_to_matrix` convert between the padded form and the historical
-list-of-lists form.
+valid entries in row ``w``.  This ``(matrix, lengths)`` pair is the one walk
+format of the package: walkers return it, :func:`walk_rounds` stacks rounds
+of it, and :func:`repro.sampling.context.context_pairs` consumes it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -89,29 +88,28 @@ def run_frontier(
     return matrix, lengths
 
 
-def matrix_to_walks(matrix: np.ndarray, lengths: np.ndarray) -> List[List[int]]:
-    """Padded walk matrix -> the historical list-of-lists form."""
-    rows = matrix.tolist()
-    return [row[:n] for row, n in zip(rows, lengths.tolist())]
+def walk_rounds(
+    walk_matrix: Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]],
+    rng: np.random.Generator,
+    starts: np.ndarray,
+    num_walks: int,
+    length: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``num_walks`` rounds of ``walk_matrix`` over a fresh permutation of
+    ``starts`` each, stacked round by round into one ``(W, L)`` matrix.
 
-
-def walks_to_matrix(walks: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """List-of-lists walks -> ``(matrix, lengths)`` padded with :data:`PAD`.
-
-    Rows keep the input order; ragged walks are right-padded.
+    Each round permutes first and then walks, so a walker's generator sees
+    the same call order whichever walker runs the rounds.  Every round
+    yields a fixed ``(len(starts), max(length, 1))`` block
+    (:func:`run_frontier`), so the output is preallocated once.
     """
-    walks = list(walks)
-    num_walks = len(walks)
-    lengths = np.fromiter((len(w) for w in walks), dtype=np.int64, count=num_walks)
-    max_len = int(lengths.max()) if num_walks else 0
-    matrix = np.full((num_walks, max(max_len, 1)), PAD, dtype=np.int64)
-    if num_walks == 0 or max_len == 0:
-        return matrix, lengths
-    flat = np.fromiter(
-        chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum())
-    )
-    mask = np.arange(max_len)[None, :] < lengths[:, None]
-    matrix[mask] = flat
+    starts = np.asarray(starts)
+    per_round = starts.shape[0]
+    matrix = np.empty((num_walks * per_round, max(length, 1)), dtype=np.int64)
+    lengths = np.empty(num_walks * per_round, dtype=np.int64)
+    for walk_round in range(num_walks):
+        block = slice(walk_round * per_round, (walk_round + 1) * per_round)
+        matrix[block], lengths[block] = walk_matrix(rng.permutation(starts), length)
     return matrix, lengths
 
 

@@ -16,7 +16,7 @@ looked up once and advances every alive walker in one vectorised step.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.errors import MetapathError
 from repro.graph.multiplex import MultiplexHeteroGraph
 from repro.graph.schema import MetapathScheme
 from repro.sampling.adjacency import TypedAdjacencyCache, step_uniform
-from repro.sampling.frontier import concat_matrices, matrix_to_walks, run_frontier
+from repro.sampling.frontier import concat_matrices, run_frontier, walk_rounds
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -94,68 +94,13 @@ class MetapathWalker:
         self._check_starts(starts)
         return run_frontier(starts, length, self._step)
 
-    # ------------------------------------------------------------------
-    def walk(self, start: int, length: int) -> List[int]:
-        """One metapath-guided walk of at most ``length`` nodes.
-
-        ``start`` must have the scheme's start type; the walk stops early at
-        a node with no valid typed neighbor.
-        """
-        matrix, lengths = self.walk_matrix(np.asarray([start]), length)
-        return matrix[0, : lengths[0]].tolist()
-
-    def walks(self, num_walks: int, length: int,
-              starts: Optional[np.ndarray] = None) -> List[List[int]]:
-        """``num_walks`` walks from each start node of the correct type."""
-        matrix, lengths = self.walks_matrix(num_walks, length, starts)
-        return matrix_to_walks(matrix, lengths)
-
     def walks_matrix(self, num_walks: int, length: int,
                      starts: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`walks` but returns one padded ``(W, L)`` matrix."""
+        """``num_walks`` rounds of walks from each start node of the scheme's
+        start type as one padded ``(W, L)`` matrix (:func:`walk_rounds`)."""
         if starts is None:
             starts = self.graph.nodes_of_type(self.scheme.start_type)
-        starts = np.asarray(starts)
-        # Fixed-width blocks per round (run_frontier always pads to
-        # max(length, 1)): preallocate the pooled output and fill slices,
-        # keeping the RNG call order of the old concatenate-of-parts form.
-        per_round = starts.shape[0]
-        matrix = np.empty((num_walks * per_round, max(length, 1)), dtype=np.int64)
-        lengths = np.empty(num_walks * per_round, dtype=np.int64)
-        for walk_round in range(num_walks):
-            block = slice(walk_round * per_round, (walk_round + 1) * per_round)
-            matrix[block], lengths[block] = self.walk_matrix(
-                self._rng.permutation(starts), length
-            )
-        return matrix, lengths
-
-    # ------------------------------------------------------------------
-    # Scalar reference path (pre-frontier implementation) for equivalence
-    # tests and benchmarks.
-    # ------------------------------------------------------------------
-    def _reference_walk(self, start: int, length: int) -> List[int]:
-        self._check_starts(np.asarray([start], dtype=np.int64))
-        path = [int(start)]
-        current = np.asarray([start], dtype=np.int64)
-        for position in range(1, length):
-            next_type = self._type_at(position)
-            indptr, indices = self._adjacency.view(self.relation, next_type)
-            current, moved = step_uniform(indptr, indices, current, self._rng)
-            if not moved[0]:
-                break
-            path.append(int(current[0]))
-        return path
-
-    def _reference_walks(self, num_walks: int, length: int,
-                         starts: Optional[np.ndarray] = None) -> List[List[int]]:
-        if starts is None:
-            starts = self.graph.nodes_of_type(self.scheme.start_type)
-        result: List[List[int]] = []
-        for _ in range(num_walks):
-            shuffled = self._rng.permutation(starts)
-            for start in shuffled:
-                result.append(self._reference_walk(int(start), length))
-        return result
+        return walk_rounds(self.walk_matrix, self._rng, starts, num_walks, length)
 
 
 def relationship_walk_matrix(
@@ -165,11 +110,8 @@ def relationship_walk_matrix(
     length: int,
     rng: SeedLike = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pooled walks from several schemes as one padded ``(W, L)`` matrix.
-
-    This is the batched form of :func:`relationship_walks` (one
-    relationship's PS_{r} set) and the trainer's fast path.
-    """
+    """Pooled walks from several schemes (one relationship's PS_{r} set)
+    as one padded ``(W, L)`` matrix, scheme by scheme."""
     rng = as_rng(rng)
     adjacency = None
     parts = []
@@ -179,14 +121,3 @@ def relationship_walk_matrix(
         parts.append(walker.walks_matrix(num_walks, length))
     return concat_matrices(parts)
 
-
-def relationship_walks(
-    graph: MultiplexHeteroGraph,
-    schemes: Sequence[MetapathScheme],
-    num_walks: int,
-    length: int,
-    rng: SeedLike = None,
-) -> List[List[int]]:
-    """Pool walks from several schemes (one relationship's PS_{r} set)."""
-    matrix, lengths = relationship_walk_matrix(graph, schemes, num_walks, length, rng)
-    return matrix_to_walks(matrix, lengths)

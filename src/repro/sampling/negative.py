@@ -62,25 +62,12 @@ class UnigramNegativeSampler:
         positions = self._type_tables[node_type].sample(size, rng=self._rng)
         return self._type_nodes[node_type][positions]
 
-    #: Rejection-resampling rounds before ``exclude_positive`` gives up.  A
-    #: positive with unigram mass p survives one round with probability p per
-    #: slot, so surviving all rounds needs p ~ 1, i.e. a (near-)degenerate
-    #: type distribution where exclusion is impossible anyway.
-    MAX_EXCLUDE_ROUNDS = 64
-
-    def sample_like(self, nodes: np.ndarray, num_negatives: int,
-                    exclude_positive: bool = False) -> np.ndarray:
+    def sample_like(self, nodes: np.ndarray, num_negatives: int) -> np.ndarray:
         """For each node, draw ``num_negatives`` negatives of the same type.
 
         Returns shape ``(len(nodes), num_negatives)``.  This is the
-        heterogeneous negative sampling of Eq. 13.
-
-        With ``exclude_positive=True``, slots that drew the positive context
-        node itself are rejection-resampled until every row is free of its
-        own positive (word2vec and metapath2vec tolerate such collisions, so
-        the default stays off and historical streams stand bit-identical).
-        Raises :class:`SamplingError` when exclusion cannot succeed — e.g. a
-        node type whose unigram distribution collapses onto the positive.
+        heterogeneous negative sampling of Eq. 13.  Like word2vec and
+        metapath2vec, a draw may hit the positive node itself.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         result = np.empty((len(nodes), num_negatives), dtype=np.int64)
@@ -91,30 +78,4 @@ class UnigramNegativeSampler:
             count = int(mask.sum()) * num_negatives
             draws = self.sample(count, node_type=node_type)
             result[mask] = draws.reshape(-1, num_negatives)
-        if exclude_positive:
-            self._resample_positives(nodes, result)
         return result
-
-    def _resample_positives(self, nodes: np.ndarray,
-                            result: np.ndarray) -> None:
-        """Redraw (in place) any negative equal to its row's positive."""
-        codes = self.graph.node_type_codes[nodes]
-        for _ in range(self.MAX_EXCLUDE_ROUNDS):
-            rows, cols = np.nonzero(result == nodes[:, None])
-            if len(rows) == 0:
-                return
-            # Group colliding slots by node type so each redraw batch hits
-            # one alias table, mirroring the primary sampling loop.
-            slot_codes = codes[rows]
-            for code in np.unique(slot_codes):
-                node_type = self.graph.schema.node_types[int(code)]
-                sel = slot_codes == code
-                draws = self.sample(int(sel.sum()), node_type=node_type)
-                result[rows[sel], cols[sel]] = draws
-        bad = np.unique(nodes[np.nonzero(result == nodes[:, None])[0]])
-        raise SamplingError(
-            "exclude_positive could not find replacement negatives for "
-            f"positives {bad[:8].tolist()} after "
-            f"{self.MAX_EXCLUDE_ROUNDS} rounds; the type distribution is "
-            "degenerate (all mass on the positive node)"
-        )

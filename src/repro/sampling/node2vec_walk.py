@@ -6,29 +6,25 @@ The transition from ``prev -> current`` to the next node x is reweighted by
     1    if x is a neighbor of prev  (BFS-like)
     1/q  otherwise              (DFS-like)
 
-The batched path advances the whole frontier per position: candidate lists
-of all alive walkers are flattened into one ragged array, the
-BFS-membership test runs as one ``searchsorted`` against a global sorted
-edge-key array, and the per-walker weighted draw is a segmented
-cumulative-sum inversion.  Frontiers smaller than ``alias_threshold`` fall
-back to cached per-``(prev, current)`` :class:`~repro.sampling.alias.AliasTable`
-draws, where numpy batch overhead exceeds the O(1) alias lookup.
+The walk advances the whole frontier per position: candidate lists of all
+alive walkers are flattened into one ragged array, the BFS-membership test
+runs as one ``searchsorted`` against a global sorted edge-key array
+(:meth:`Node2VecWalker._transition_weights`), and the per-walker weighted
+draw is a segmented cumulative-sum inversion.  Frontiers of every size,
+a single walker included, take this one step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.graph.multiplex import MultiplexHeteroGraph
 from repro.sampling.adjacency import step_uniform
-from repro.sampling.alias import AliasTable
-from repro.sampling.frontier import matrix_to_walks, run_frontier
+from repro.sampling.frontier import run_frontier, walk_rounds
 from repro.sampling.random_walk import _merged_csr
 from repro.utils.rng import SeedLike, as_rng
-
-_MAX_ALIAS_CACHE = 100_000
 
 
 class Node2VecWalker:
@@ -41,19 +37,15 @@ class Node2VecWalker:
         previous node.
     q:
         In-out parameter; q > 1 biases towards BFS, q < 1 towards DFS.
-    alias_threshold:
-        Frontier size below which the batched step falls back to cached
-        alias tables instead of the vectorised segmented draw.
     """
 
     def __init__(self, graph: MultiplexHeteroGraph, p: float = 1.0, q: float = 1.0,
-                 rng: SeedLike = None, alias_threshold: int = 8):
+                 rng: SeedLike = None):
         if p <= 0 or q <= 0:
             raise ValueError(f"p and q must be positive, got p={p}, q={q}")
         self.graph = graph
         self.p = p
         self.q = q
-        self.alias_threshold = alias_threshold
         self._rng = as_rng(rng)
         self._indptr, self._indices = _merged_csr(graph)
         self._num_nodes = graph.num_nodes
@@ -62,77 +54,31 @@ class Node2VecWalker:
         degrees = np.diff(self._indptr)
         src = np.repeat(np.arange(self._num_nodes, dtype=np.int64), degrees)
         self._edge_keys = np.sort(src * self._num_nodes + self._indices)
-        # Per-node sorted neighbor arrays for the scalar reference path.
-        self._sorted_neighbors: Dict[int, np.ndarray] = {}
-        # (prev, current) -> (candidates, AliasTable) for small frontiers.
-        self._alias_cache: Dict[Tuple[int, int], Tuple[np.ndarray, AliasTable]] = {}
 
     def _neighbors(self, node: int) -> np.ndarray:
         return self._indices[self._indptr[node]: self._indptr[node + 1]]
 
-    def _neighbor_set(self, node: int) -> np.ndarray:
-        cached = self._sorted_neighbors.get(node)
-        if cached is None:
-            cached = np.sort(self._neighbors(node))
-            self._sorted_neighbors[node] = cached
-        return cached
-
     # ------------------------------------------------------------------
     # Second-order transition weights
     # ------------------------------------------------------------------
-    def _edge_weights(self, prev: int, candidates: np.ndarray) -> np.ndarray:
-        """Unnormalised transition weights of ``candidates`` given ``prev``."""
-        weights = np.ones(len(candidates))
-        weights[candidates == prev] = 1.0 / self.p
-        prev_neighbors = self._neighbor_set(prev)
-        pos = np.searchsorted(prev_neighbors, candidates)
-        found = np.zeros(len(candidates), dtype=bool)
-        in_range = pos < len(prev_neighbors)
-        found[in_range] = prev_neighbors[pos[in_range]] == candidates[in_range]
-        far = ~found & (candidates != prev)
-        weights[far] = 1.0 / self.q
-        return weights
+    def _transition_weights(
+        self, prev: np.ndarray, current: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unnormalised weights of every walker's candidate next nodes.
 
-    def _alias_step(self, prev: int, current: int) -> int:
-        """One draw from the cached alias table of edge ``(prev, current)``."""
-        entry = self._alias_cache.get((prev, current))
-        if entry is None:
-            candidates = self._neighbors(current)
-            table = AliasTable(self._edge_weights(prev, candidates))
-            entry = (candidates, table)
-            if len(self._alias_cache) < _MAX_ALIAS_CACHE:
-                self._alias_cache[(prev, current)] = entry
-        candidates, table = entry
-        return int(candidates[table.sample(1, self._rng)[0]])
-
-    def _biased_step(self, prev: np.ndarray,
-                     current: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One second-order step for the whole frontier.
-
-        Returns ``(next_nodes, moved)``; dead-end walkers keep their node
-        with ``moved`` False.
+        ``current`` must have at least one neighbor per walker.  Returns
+        ``(candidates, weights, ends)``: the walkers' neighbor lists
+        flattened one after another, their p/q weights, and where each
+        walker's segment ends.
         """
         indptr, indices = self._indptr, self._indices
         degrees = indptr[current + 1] - indptr[current]
-        moved = degrees > 0
-        next_nodes = current.copy()
-        active = np.flatnonzero(moved)
-        if active.size == 0:
-            return next_nodes, moved
-        if active.size < self.alias_threshold:
-            for i in active:
-                next_nodes[i] = self._alias_step(int(prev[i]), int(current[i]))
-            return next_nodes, moved
-
-        a_prev = prev[active]
-        a_deg = degrees[active]
-        total = int(a_deg.sum())
-        ends = np.cumsum(a_deg)
-        seg_starts = ends - a_deg
-        # Flattened ragged candidate lists of all active walkers.
-        flat_idx = np.repeat(indptr[current[active]] - seg_starts, a_deg) + np.arange(total)
+        total = int(degrees.sum())
+        ends = np.cumsum(degrees)
+        # Flattened ragged candidate lists of all walkers.
+        flat_idx = np.repeat(indptr[current] - (ends - degrees), degrees) + np.arange(total)
         candidates = indices[flat_idx]
-        prev_rep = np.repeat(a_prev, a_deg)
+        prev_rep = np.repeat(prev, degrees)
 
         weights = np.ones(total)
         weights[candidates == prev_rep] = 1.0 / self.p
@@ -142,8 +88,26 @@ class Node2VecWalker:
         found = self._edge_keys[pos] == keys
         far = ~found & (candidates != prev_rep)
         weights[far] = 1.0 / self.q
+        return candidates, weights, ends
 
+    def _biased_step(self, prev: np.ndarray,
+                     current: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One second-order step for the whole frontier.
+
+        Returns ``(next_nodes, moved)``; dead-end walkers keep their node
+        with ``moved`` False.
+        """
+        degrees = self._indptr[current + 1] - self._indptr[current]
+        moved = degrees > 0
+        next_nodes = current.copy()
+        active = np.flatnonzero(moved)
+        if active.size == 0:
+            return next_nodes, moved
+        candidates, weights, ends = self._transition_weights(
+            prev[active], current[active]
+        )
         # Segmented weighted choice: invert the per-walker cumulative sums.
+        seg_starts = ends - degrees[active]
         cumulative = np.cumsum(weights)
         seg_hi = cumulative[ends - 1]
         seg_lo = np.concatenate([[0.0], seg_hi[:-1]])
@@ -172,51 +136,10 @@ class Node2VecWalker:
 
         return run_frontier(starts, length, step)
 
-    def walk(self, start: int, length: int) -> List[int]:
-        """One biased walk of at most ``length`` nodes."""
-        matrix, lengths = self.walk_matrix(np.asarray([start]), length)
-        return matrix[0, : lengths[0]].tolist()
-
-    def walks(self, num_walks: int, length: int,
-              nodes: Optional[np.ndarray] = None) -> List[List[int]]:
+    def walks_matrix(self, num_walks: int, length: int,
+                     nodes: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """``num_walks`` rounds of biased walks from every node (or from
+        ``nodes``) as one padded ``(W, L)`` matrix (:func:`walk_rounds`)."""
         if nodes is None:
             nodes = np.arange(self.graph.num_nodes)
-        result: List[List[int]] = []
-        for _ in range(num_walks):
-            shuffled = self._rng.permutation(nodes)
-            matrix, lengths = self.walk_matrix(shuffled, length)
-            result.extend(matrix_to_walks(matrix, lengths))
-        return result
-
-    # ------------------------------------------------------------------
-    # Scalar reference path (pre-frontier implementation) for equivalence
-    # tests and benchmarks.
-    # ------------------------------------------------------------------
-    def _reference_walk(self, start: int, length: int) -> List[int]:
-        path = [int(start)]
-        if length <= 1:
-            return path
-        first = self._neighbors(start)
-        if len(first) == 0:
-            return path
-        path.append(int(first[self._rng.integers(len(first))]))
-        while len(path) < length:
-            prev, current = path[-2], path[-1]
-            candidates = self._neighbors(current)
-            if len(candidates) == 0:
-                break
-            weights = self._edge_weights(prev, candidates)
-            weights /= weights.sum()
-            path.append(int(self._rng.choice(candidates, p=weights)))
-        return path
-
-    def _reference_walks(self, num_walks: int, length: int,
-                         nodes: Optional[np.ndarray] = None) -> List[List[int]]:
-        if nodes is None:
-            nodes = np.arange(self.graph.num_nodes)
-        result: List[List[int]] = []
-        for _ in range(num_walks):
-            shuffled = self._rng.permutation(nodes)
-            for start in shuffled:
-                result.append(self._reference_walk(int(start), length))
-        return result
+        return walk_rounds(self.walk_matrix, self._rng, nodes, num_walks, length)

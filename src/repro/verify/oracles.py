@@ -3,11 +3,12 @@
 Three oracle families, each reporting a max-abs-diff per component:
 
 - **sampling**: the vectorised frontier walkers against their scalar
-  ``_reference_*`` paths (draw-for-draw identical for uniform, metapath and
-  exploration walks), the node2vec transition distribution against a
-  from-scratch p/q reimplementation, alias tables and the negative sampler
-  against their exact target distributions, and Eq. 1's relationship
-  transition probabilities against a loop transcription;
+  ``_reference_*`` paths in :mod:`repro.verify.references` (draw-for-draw
+  identical for uniform, metapath and exploration walks), the p/q weights
+  node2vec's batched step draws from against brute-force membership, alias
+  tables and the negative sampler against their exact target
+  distributions, and Eq. 1's relationship transition probabilities
+  against a loop transcription;
 - **metrics**: every function of :mod:`repro.eval.metrics` against a
   brute-force O(n^2) / pure-Python reimplementation (pairwise Mann-Whitney
   ROC-AUC, threshold-sweep PR-AUC and F1, positional loops for the ranking
@@ -120,15 +121,26 @@ def _default_graph(seed: int):
 # ======================================================================
 # Sampling oracles
 # ======================================================================
+def _walk_rows(matrix: np.ndarray, lengths: np.ndarray) -> List[List[int]]:
+    """A padded walk matrix's rows cut to their lengths, as lists."""
+    return [row[:n] for row, n in zip(matrix.tolist(), lengths.tolist())]
+
+
 def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     """Vectorised sampling pipeline vs scalar references on a real graph."""
     from repro.sampling.alias import AliasTable
-    from repro.sampling.context import _reference_context_pairs, context_pairs
+    from repro.sampling.context import context_pairs
     from repro.sampling.exploration import RandomizedExploration
     from repro.sampling.metapath_walk import MetapathWalker
     from repro.sampling.negative import UnigramNegativeSampler
     from repro.sampling.node2vec_walk import Node2VecWalker
     from repro.sampling.random_walk import UniformRandomWalker
+    from repro.verify.references import (
+        _reference_context_pairs,
+        _reference_exploration_walk,
+        _reference_metapath_walk,
+        _reference_uniform_walk,
+    )
 
     if dataset is None:
         dataset = _default_graph(seed)
@@ -137,16 +149,23 @@ def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     results: List[OracleResult] = []
     starts = rng.choice(graph.num_nodes, size=12, replace=False)
 
+    def one_by_one(walker, length, walk_starts):
+        """Frontier walks of one start each (the scalar loop's draw order)."""
+        return [
+            _walk_rows(*walker.walk_matrix(np.asarray([s]), length))[0]
+            for s in walk_starts
+        ]
+
     # --- uniform walker: fast frontier path draw-identical to the scalar loop
     fast = UniformRandomWalker(graph, rng=seed)
     ref = UniformRandomWalker(graph, rng=seed)
     diff = _walks_diff(
-        [fast.walk(int(s), 10) for s in starts],
-        [ref._reference_walk(int(s), 10) for s in starts],
+        one_by_one(fast, 10, starts),
+        [_reference_uniform_walk(ref, int(s), 10) for s in starts],
     )
     results.append(_result(
         "uniform_walk_equivalence", "sampling", diff,
-        "frontier walk vs scalar _reference_walk, same seed",
+        "frontier walk vs scalar _reference_uniform_walk, same seed",
     ))
 
     # --- metapath walker: typed steps draw-identical to the scalar loop
@@ -156,8 +175,8 @@ def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     fast = MetapathWalker(graph, scheme, rng=seed)
     ref = MetapathWalker(graph, scheme, rng=seed)
     diff = _walks_diff(
-        [fast.walk(int(s), 9) for s in typed_starts],
-        [ref._reference_walk(int(s), 9) for s in typed_starts],
+        one_by_one(fast, 9, typed_starts),
+        [_reference_metapath_walk(ref, int(s), 9) for s in typed_starts],
     )
     results.append(_result(
         "metapath_walk_equivalence", "sampling", diff,
@@ -167,8 +186,13 @@ def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
     # --- randomized exploration: two-phase steps draw-identical (Eqs. 1-2)
     fast = RandomizedExploration(graph, rng=seed)
     ref = RandomizedExploration(graph, rng=seed)
-    fast_walks = [fast.walk(int(s), 8) for s in starts]
-    ref_walks = [ref._reference_walk(int(s), 8) for s in starts]
+    fast_walks = []
+    for s in starts:
+        matrix, lengths, rels = fast.walk_matrix(np.asarray([s]), 8)
+        n = int(lengths[0])
+        fast_walks.append((matrix[0, :n].tolist(),
+                           [fast._relations[r] for r in rels[0, 1:n].tolist()]))
+    ref_walks = [_reference_exploration_walk(ref, int(s), 8) for s in starts]
     diff = max(
         _walks_diff([w for w, _ in fast_walks], [w for w, _ in ref_walks]),
         _walks_diff([r for _, r in fast_walks], [r for _, r in ref_walks]),
@@ -199,7 +223,7 @@ def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         "Eq. 1 p(r|v) vs per-relationship degree loop",
     ))
 
-    # --- node2vec: exact second-order transition distribution (p/q weights)
+    # --- node2vec: the batched step's p/q weights vs brute-force membership
     walker = Node2VecWalker(graph, p=4.0, q=0.25, rng=seed)
     diff = 0.0
     checked = 0
@@ -209,10 +233,9 @@ def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         if len(currents) == 0:
             continue
         current = int(currents[0])
-        candidates = walker._neighbors(current)
-        if len(candidates) == 0:
-            continue
-        weights = walker._edge_weights(prev, candidates)
+        candidates, weights, _ = walker._transition_weights(
+            np.asarray([prev]), np.asarray([current])
+        )
         prev_neighbors = set(walker._neighbors(prev).tolist())
         expected = np.empty(len(candidates))
         for i, cand in enumerate(candidates.tolist()):
@@ -228,7 +251,8 @@ def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
         checked += 1
     results.append(_result(
         "node2vec_transition_distribution", "sampling", diff,
-        f"normalised p/q weights vs brute-force membership ({checked} edges)",
+        f"batched step's normalised p/q weights vs brute-force membership "
+        f"({checked} edges)",
     ))
 
     # --- alias table: implied distribution vs normalised weights
@@ -259,9 +283,10 @@ def sampling_oracles(dataset=None, seed: int = 0) -> List[OracleResult]:
 
     # --- context pairs: window gather vs the historical nested loop
     walker = UniformRandomWalker(graph, rng=spawn_rng(rng))
-    walks = walker.walks(2, 8, nodes=starts)
+    matrix, lengths = walker.walks_matrix(2, 8, nodes=starts)
     diff = _array_diff(
-        context_pairs(walks, window=3), _reference_context_pairs(walks, window=3)
+        context_pairs((matrix, lengths), window=3),
+        _reference_context_pairs(_walk_rows(matrix, lengths), window=3),
     )
     results.append(_result(
         "context_pairs_equivalence", "sampling", diff,

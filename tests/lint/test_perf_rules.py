@@ -7,7 +7,7 @@ baseline entry.  The negative tests pin down the sanctioned idioms the
 hot paths rely on (accumulate-then-concat after the loop, per-iteration
 concat of fresh parts, ``intended-dtype`` coercion markers, bounded
 ``np.unique`` group-by headers, convert-once ``tolist()`` in loop
-headers, ``_reference_*`` oracle whitelisting).
+headers).
 """
 
 from __future__ import annotations
@@ -339,26 +339,6 @@ def test_r014_r015_only_apply_to_hot_modules():
     # core/ runs the HybridGNN training step.
     found, _ = findings_for(source, "core/model.py")
     assert "R015" in codes(found)
-
-
-def test_reference_oracles_are_whitelisted():
-    """``_reference_*`` bodies are deliberately scalar; no perf findings."""
-    found, _ = findings_for(
-        """\
-        import numpy as np
-
-        def _reference_scores(graph, relation, sources):
-            out = np.empty(0)
-            arr = np.arange(len(sources))
-            for i in range(len(sources)):
-                matrix = graph.csr(relation)
-                buf = np.zeros(8)
-                out = np.append(out, arr[i] + buf.sum() + matrix[0, 0])
-            return out
-        """,
-        "sampling/oracle.py",
-    )
-    assert not found
 
 
 def test_r015_unique_groupby_and_header_tolist_are_sanctioned():

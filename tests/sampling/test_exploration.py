@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sampling import RandomizedExploration
+from repro.sampling import PAD, RandomizedExploration
 
 
 class TestTransitionProbabilities:
@@ -81,16 +81,16 @@ class TestWalkAndLayers:
         """On a multiplex graph, long exploration walks should use more than
         one relationship (the whole point of inter-relationship sampling)."""
         explorer = RandomizedExploration(taobao_dataset.graph, rng=0)
-        used = set()
-        for start in range(0, 40):
-            _, relations = explorer.walk(start, 12)
-            used.update(relations)
+        _, _, relations = explorer.walk_matrix(np.arange(40), 12)
+        used = set(relations[:, 1:][relations[:, 1:] != PAD].tolist())
         assert len(used) > 1
 
     def test_walk_edges_exist(self, small_graph):
         explorer = RandomizedExploration(small_graph, rng=0)
-        path, relations = explorer.walk(0, 10)
-        for (u, v), relation in zip(zip(path, path[1:]), relations):
+        matrix, lengths, relations = explorer.walk_matrix(np.asarray([0]), 10)
+        path = matrix[0, : lengths[0]].tolist()
+        names = [explorer._relations[r] for r in relations[0, 1: lengths[0]]]
+        for (u, v), relation in zip(zip(path, path[1:]), names):
             assert small_graph.has_edge(u, v, relation)
 
     def test_sample_layers_shapes(self, small_graph):

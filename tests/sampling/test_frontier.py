@@ -16,11 +16,27 @@ from repro.sampling import (
     UniformRandomWalker,
     concat_matrices,
     context_pairs,
-    matrix_to_walks,
     run_frontier,
-    walks_to_matrix,
 )
-from repro.sampling.context import _reference_context_pairs
+from repro.verify.references import (
+    _node2vec_edge_weights,
+    _reference_context_pairs,
+    _reference_exploration_walk,
+    _reference_metapath_walk,
+)
+
+
+def _padded(walks):
+    """List walks as a ``(matrix, lengths)`` pair padded with PAD."""
+    lengths = np.asarray([len(w) for w in walks], dtype=np.int64)
+    matrix = np.full((len(walks), max([1, *lengths.tolist()])), PAD, dtype=np.int64)
+    for row, walk in zip(matrix, walks):
+        row[: len(walk)] = walk
+    return matrix, lengths
+
+
+def _rows(matrix, lengths):
+    return [row[:n] for row, n in zip(matrix.tolist(), lengths.tolist())]
 
 
 # ----------------------------------------------------------------------
@@ -62,20 +78,27 @@ class TestRunFrontier:
         matrix, lengths = run_frontier(np.empty(0, dtype=np.int64), 5, None)
         assert matrix.shape[0] == 0 and lengths.shape == (0,)
 
-    def test_walks_matrix_round_trip(self):
-        walks = [[1, 2, 3], [4], [5, 6], []]
-        matrix, lengths = walks_to_matrix(walks)
-        assert matrix.shape == (4, 3)
-        assert matrix[1, 1] == PAD
-        assert matrix_to_walks(matrix, lengths) == walks
+    def test_walks_matrix_round_trip(self, small_schema):
+        """Every row holds its walk's nodes then PAD, and ``lengths`` says
+        where the walk ends."""
+        builder = GraphBuilder(small_schema)
+        builder.add_nodes("user", 2)
+        builder.add_nodes("item", 1)
+        builder.add_edge(0, 2, "view")
+        graph = builder.build()  # node 1 is isolated
+        matrix, lengths = UniformRandomWalker(graph, rng=0).walks_matrix(2, 5)
+        assert matrix.shape == (6, 5)
+        for row, n in zip(matrix, lengths):
+            assert np.all(row[:n] != PAD) and np.all(row[n:] == PAD)
+        assert sorted(lengths.tolist()) == [1, 1, 5, 5, 5, 5]
 
     def test_concat_matrices_repads(self):
-        a = walks_to_matrix([[1, 2, 3]])
-        b = walks_to_matrix([[4], [5, 6]])
+        a = _padded([[1, 2, 3]])
+        b = _padded([[4], [5, 6]])
         matrix, lengths = concat_matrices([a, b])
         assert matrix.shape == (3, 3)
         assert np.array_equal(lengths, [3, 1, 2])
-        assert matrix_to_walks(matrix, lengths) == [[1, 2, 3], [4], [5, 6]]
+        assert _rows(matrix, lengths) == [[1, 2, 3], [4], [5, 6]]
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +137,7 @@ class TestMetapathEquivalence:
         walker = MetapathWalker(graph, scheme, rng=0)
         starts = graph.nodes_of_type("user")
         matrix, lengths = walker.walk_matrix(starts, 9)
-        reference = [walker._reference_walk(int(s), 9) for s in starts]
+        reference = [_reference_metapath_walk(walker, int(s), 9) for s in starts]
         codes = graph.node_type_codes
         for row, n, ref in zip(matrix, lengths, reference):
             batched_types = codes[row[:n]].tolist()
@@ -161,7 +184,7 @@ class TestTransitionDistributions:
     def _per_node_distribution(walker, prev, cur, num_nodes):
         """Exact next-node distribution, summing over parallel-edge slots."""
         candidates = walker._neighbors(cur)
-        slot_probs = walker._edge_weights(prev, candidates)
+        slot_probs = _node2vec_edge_weights(walker, prev, candidates)
         slot_probs = slot_probs / slot_probs.sum()
         exact = np.zeros(num_nodes)
         np.add.at(exact, candidates, slot_probs)
@@ -187,9 +210,10 @@ class TestTransitionDistributions:
         np.testing.assert_allclose(empirical, exact, atol=0.035)
 
     def test_node2vec_alias_fallback_matches_reference(self, taobao_dataset):
-        """Tiny frontiers (alias-table path) draw from the same distribution."""
+        """A frontier of one walker, where an alias-table fallback once
+        took over, draws from the same distribution as a large one."""
         graph = taobao_dataset.graph
-        walker = Node2VecWalker(graph, p=4.0, q=0.25, rng=0, alias_threshold=10)
+        walker = Node2VecWalker(graph, p=4.0, q=0.25, rng=0)
         degrees = np.diff(walker._indptr)
         cur = int(np.argmax(degrees))
         prev = int(walker._neighbors(cur)[0])
@@ -197,7 +221,7 @@ class TestTransitionDistributions:
 
         trials = 6000
         hits = np.zeros(graph.num_nodes)
-        for _ in range(trials):  # frontier of 1 < alias_threshold
+        for _ in range(trials):  # a frontier of one walker per step
             nxt, moved = walker._biased_step(
                 np.asarray([prev], dtype=np.int64), np.asarray([cur], dtype=np.int64)
             )
@@ -218,7 +242,7 @@ class TestTransitionDistributions:
     def test_exploration_reference_still_valid(self, taobao_dataset):
         graph = taobao_dataset.graph
         exploration = RandomizedExploration(graph, rng=5)
-        path, rels = exploration._reference_walk(0, 6)
+        path, rels = _reference_exploration_walk(exploration, 0, 6)
         assert len(rels) == len(path) - 1
         for (u, v), relation in zip(zip(path, path[1:]), rels):
             assert graph.has_edge(u, v, relation)
@@ -237,24 +261,49 @@ class TestContextPairEquivalence:
         st.integers(1, 6),
     )
     def test_exactly_identical_to_reference(self, corpus, window):
-        batched = context_pairs(corpus, window)
+        batched = context_pairs(_padded(corpus), window)
         reference = _reference_context_pairs(corpus, window)
         assert batched.dtype == reference.dtype
         assert np.array_equal(batched, reference)
 
     def test_matrix_input_identical_to_list_input(self, small_graph):
+        """The walker's matrix gives the reference's pairs of its rows as
+        lists, whatever width the matrix is padded to."""
         walker = UniformRandomWalker(small_graph, rng=11)
         matrix, lengths = walker.walks_matrix(3, 8)
-        from_matrix = context_pairs((matrix, lengths), 3)
-        from_lists = context_pairs(matrix_to_walks(matrix, lengths), 3)
-        reference = _reference_context_pairs(matrix_to_walks(matrix, lengths), 3)
-        assert np.array_equal(from_matrix, from_lists)
-        assert np.array_equal(from_matrix, reference)
+        reference = _reference_context_pairs(_rows(matrix, lengths), 3)
+        widened = np.pad(matrix, ((0, 0), (0, 4)), constant_values=PAD)
+        assert np.array_equal(context_pairs((matrix, lengths), 3), reference)
+        assert np.array_equal(context_pairs((widened, lengths), 3), reference)
 
     def test_walk_corpus_equivalence(self, taobao_dataset):
         """End-to-end: random-walk corpus pairs identical across paths."""
         graph = taobao_dataset.graph
-        walks = UniformRandomWalker(graph, rng=2).walks(2, 10)
+        matrix, lengths = UniformRandomWalker(graph, rng=2).walks_matrix(2, 10)
         assert np.array_equal(
-            context_pairs(walks, 4), _reference_context_pairs(walks, 4)
+            context_pairs((matrix, lengths), 4),
+            _reference_context_pairs(_rows(matrix, lengths), 4),
         )
+
+
+# ----------------------------------------------------------------------
+# walks_matrix: one shared round loop for every walker
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["uniform", "node2vec", "metapath"])
+def test_walks_matrix_equals_permuted_rounds(taobao_dataset, kind):
+    """``walks_matrix`` stacks per-round ``walk_matrix(rng.permutation(starts))``
+    blocks, drawing from the walker's generator in that order."""
+    graph = taobao_dataset.graph
+    scheme = taobao_dataset.schemes_for("page_view")[0]
+    every_node = np.arange(graph.num_nodes)
+    make, starts = {
+        "uniform": (lambda: UniformRandomWalker(graph, rng=5), every_node),
+        "node2vec": (lambda: Node2VecWalker(graph, p=2.0, q=0.5, rng=5), every_node),
+        "metapath": (lambda: MetapathWalker(graph, scheme, rng=5),
+                     graph.nodes_of_type(scheme.start_type)),
+    }[kind]
+    pooled, pooled_lengths = make().walks_matrix(3, 7)
+    twin = make()
+    rounds = [twin.walk_matrix(twin._rng.permutation(starts), 7) for _ in range(3)]
+    assert np.array_equal(pooled, np.concatenate([m for m, _ in rounds]))
+    assert np.array_equal(pooled_lengths, np.concatenate([n for _, n in rounds]))

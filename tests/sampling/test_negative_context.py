@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SamplingError
-from repro.graph import GraphBuilder, GraphSchema
-from repro.sampling import UnigramNegativeSampler, batches, context_pairs
+from repro.sampling import PAD, UnigramNegativeSampler, context_pairs
+
+
+def _pairs(walks, window):
+    """``context_pairs`` of list walks, padded into the matrix form."""
+    lengths = np.asarray([len(w) for w in walks], dtype=np.int64)
+    matrix = np.full((len(walks), max([1, *lengths.tolist()])), PAD, dtype=np.int64)
+    for row, walk in zip(matrix, walks):
+        row[: len(walk)] = walk
+    return context_pairs((matrix, lengths), window)
 
 
 class TestUnigramNegativeSampler:
@@ -56,94 +62,24 @@ class TestUnigramNegativeSampler:
             sampler.sample(0)
 
 
-class TestExcludePositive:
-    def test_default_off_is_bit_identical(self, small_graph):
-        """exclude_positive=False must not perturb the historical stream."""
-        nodes = np.asarray([0, 3, 1, 4, 2, 5])
-        baseline = UnigramNegativeSampler(small_graph, rng=0).sample_like(
-            nodes, 7)
-        explicit = UnigramNegativeSampler(small_graph, rng=0).sample_like(
-            nodes, 7, exclude_positive=False)
-        np.testing.assert_array_equal(baseline, explicit)
-
-    def test_positive_never_among_negatives(self, small_graph):
-        sampler = UnigramNegativeSampler(small_graph, rng=0)
-        nodes = np.tile(np.asarray([0, 3, 1, 4, 2, 5, 6]), 50)
-        negatives = sampler.sample_like(nodes, 5, exclude_positive=True)
-        assert not np.any(negatives == nodes[:, None])
-
-    def test_types_still_respected(self, small_graph):
-        sampler = UnigramNegativeSampler(small_graph, rng=1)
-        nodes = np.asarray([0, 3, 1, 4])
-        negatives = sampler.sample_like(nodes, 6, exclude_positive=True)
-        for node, row in zip(nodes, negatives):
-            expected = small_graph.node_type(int(node))
-            for neg in row:
-                assert small_graph.node_type(int(neg)) == expected
-
-    def test_degenerate_type_raises(self):
-        """A type with a single node cannot exclude that node."""
-        schema = GraphSchema(["user", "item"], ["view"])
-        builder = GraphBuilder(schema)
-        builder.add_nodes("user", 1)
-        builder.add_nodes("item", 3)
-        for item in (1, 2, 3):
-            builder.add_edge(0, item, "view")
-        graph = builder.build()
-        sampler = UnigramNegativeSampler(graph, rng=0)
-        with pytest.raises(SamplingError):
-            sampler.sample_like(np.asarray([0]), 2, exclude_positive=True)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        positives=st.lists(st.integers(0, 6), min_size=1, max_size=16),
-        num_negatives=st.integers(1, 8),
-        seed=st.integers(0, 10_000),
-    )
-    def test_property_excluded_node_never_appears(
-            self, positives, num_negatives, seed):
-        """For any positive mix, seed and width, the excluded node never
-        shows up in its own row (the rest of the row stays type-valid)."""
-        schema = GraphSchema(["user", "item"], ["view", "buy"])
-        builder = GraphBuilder(schema)
-        builder.add_nodes("user", 3)
-        builder.add_nodes("item", 4)
-        for u, v in [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6)]:
-            builder.add_edge(u, v, "view")
-        for u, v in [(0, 3), (1, 4), (2, 5)]:
-            builder.add_edge(u, v, "buy")
-        graph = builder.build()
-        sampler = UnigramNegativeSampler(graph, rng=seed)
-        nodes = np.asarray(positives, dtype=np.int64)
-        negatives = sampler.sample_like(
-            nodes, num_negatives, exclude_positive=True)
-        assert negatives.shape == (len(nodes), num_negatives)
-        assert not np.any(negatives == nodes[:, None])
-        codes = graph.node_type_codes
-        assert np.array_equal(
-            np.broadcast_to(codes[nodes][:, None], negatives.shape),
-            codes[negatives],
-        )
-
-
 class TestContextPairs:
     def test_window_one(self):
-        pairs = context_pairs([[1, 2, 3]], window=1)
+        pairs = _pairs([[1, 2, 3]], window=1)
         as_set = {tuple(p) for p in pairs.tolist()}
         assert as_set == {(1, 2), (2, 1), (2, 3), (3, 2)}
 
     def test_window_two_includes_skips(self):
-        pairs = context_pairs([[1, 2, 3]], window=2)
+        pairs = _pairs([[1, 2, 3]], window=2)
         as_set = {tuple(p) for p in pairs.tolist()}
         assert (1, 3) in as_set and (3, 1) in as_set
 
     def test_empty_and_singleton_walks(self):
-        assert context_pairs([[], [7]], window=2).shape == (0, 2)
+        assert _pairs([[], [7]], window=2).shape == (0, 2)
 
     def test_pair_count_formula(self):
         """A walk of length L with window w has sum over i of |C(v_i)| pairs."""
         walk = list(range(10))
-        pairs = context_pairs([walk], window=3)
+        pairs = _pairs([walk], window=3)
         expected = sum(
             min(len(walk), i + 4) - max(0, i - 3) - 1 for i in range(len(walk))
         )
@@ -151,22 +87,5 @@ class TestContextPairs:
 
     def test_invalid_window_rejected(self):
         with pytest.raises(SamplingError):
-            context_pairs([[1, 2]], window=0)
+            _pairs([[1, 2]], window=0)
 
-
-class TestBatches:
-    def test_batches_cover_all_pairs(self):
-        pairs = np.arange(20).reshape(10, 2)
-        rng = np.random.default_rng(0)
-        seen = np.concatenate(list(batches(pairs, 3, rng)))
-        assert sorted(map(tuple, seen.tolist())) == sorted(map(tuple, pairs.tolist()))
-
-    def test_batch_sizes(self):
-        pairs = np.arange(20).reshape(10, 2)
-        rng = np.random.default_rng(0)
-        sizes = [len(b) for b in batches(pairs, 4, rng)]
-        assert sizes == [4, 4, 2]
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(SamplingError):
-            list(batches(np.zeros((2, 2), dtype=int), 0, np.random.default_rng(0)))

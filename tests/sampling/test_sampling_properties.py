@@ -88,7 +88,8 @@ class TestContextPairProperties:
     def test_pairs_symmetric(self, walk, window):
         from repro.sampling import context_pairs
 
-        pairs = {tuple(p) for p in context_pairs([walk], window).tolist()}
+        walks = (np.asarray([walk]), np.asarray([len(walk)]))
+        pairs = {tuple(p) for p in context_pairs(walks, window).tolist()}
         for center, context in pairs:
             assert (context, center) in pairs
 
@@ -98,7 +99,7 @@ class TestContextPairProperties:
     def test_pairs_within_window(self, walk, window):
         from repro.sampling import context_pairs
 
-        pairs = context_pairs([walk], window)
+        pairs = context_pairs((np.asarray([walk]), np.asarray([len(walk)])), window)
         for center, context in pairs.tolist():
             # Some position pair within the window must justify this pair.
             ok = any(

@@ -90,6 +90,18 @@ class TestFamilies:
             # Full-ranking equivalence is list-order exact, not just close.
             assert by_name["ranking_order_equivalence"].max_abs_diff == 0.0
 
+    def test_serving_family_keeps_planted_ties_across_seeds(self):
+        """The planted duplicate rows tie in the references exactly as in
+        the engine's blocks, at every seed (the references score whole
+        type pools, in the blocks' row order)."""
+        failed = [
+            (seed, r.name)
+            for seed in range(40)
+            for r in serving_oracles(seed=seed)
+            if not r.passed
+        ]
+        assert not failed
+
     def test_metric_oracles_cover_every_public_metric(self):
         names = {r.name for r in metric_oracles(seed=0)}
         assert names >= {
